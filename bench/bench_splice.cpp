@@ -5,6 +5,7 @@
 // splices/sec (items_per_second) with pairs/sec as a counter:
 //
 //   BM_SpliceDfs        prefix-sharing DFS (the production path)
+//   BM_SpliceDfs384     the same at 384-byte segments (not distilled)
 //   BM_SpliceFlat       flat enumeration + per-splice refold (the
 //                       previous evaluator, kept as baseline)
 //   BM_SpliceReference  full materialise-and-verify oracle
@@ -34,23 +35,32 @@ namespace {
 
 using namespace cksum;
 
-/// A deterministic 16 KiB gmon-profile transfer: 65 full 256-byte
-/// segments (7-cell packets, 923 splices per pair) plus a runt tail.
+net::FlowConfig flow_at(std::size_t segment) {
+  net::FlowConfig flow = core::paper_flow_config();
+  flow.segment_size = segment;
+  return flow;
+}
+
+/// A deterministic 16 KiB gmon-profile transfer. At the paper's
+/// 256-byte segments: 65 full segments (7-cell packets, 923 splices per
+/// pair) plus a runt tail; at 384 bytes (the e2ebench corpus-stream
+/// shape): 9-cell packets whose larger suffix buckets are where the
+/// leaf join's sweep dominates.
+template <std::size_t Segment>
 const std::vector<core::SimPacket>& corpus_packets() {
   static const std::vector<core::SimPacket> pkts = [] {
-    const net::FlowConfig flow = core::paper_flow_config();
     const util::Bytes file =
         fsgen::generate_file(fsgen::FileKind::kGmonProfile, 42, 16 * 1024);
-    return core::packetize_file(flow, util::ByteView(file));
+    return core::packetize_file(flow_at(Segment), util::ByteView(file));
   }();
   return pkts;
 }
 
-template <typename Evaluator>
+template <std::size_t Segment = 256, typename Evaluator>
 void run_pair_bench(benchmark::State& state, Evaluator&& evaluate,
                     std::size_t max_pairs) {
-  const auto& pkts = corpus_packets();
-  const net::FlowConfig flow = core::paper_flow_config();
+  const auto& pkts = corpus_packets<Segment>();
+  const net::FlowConfig flow = flow_at(Segment);
   const std::size_t last =
       std::min(max_pairs, pkts.size() >= 2 ? pkts.size() - 1 : 0);
   std::uint64_t splices = 0;
@@ -72,6 +82,13 @@ void BM_SpliceDfs(benchmark::State& state) {
   run_pair_bench(state, core::evaluate_pair, 1u << 20);
 }
 BENCHMARK(BM_SpliceDfs);
+
+/// The DFS at 384-byte segments. A separate name, so bench_distill's
+/// "dfs" key (and its trajectory gates) stays the 256-byte row.
+void BM_SpliceDfs384(benchmark::State& state) {
+  run_pair_bench<384>(state, core::evaluate_pair, 1u << 20);
+}
+BENCHMARK(BM_SpliceDfs384);
 
 void BM_SpliceFlat(benchmark::State& state) {
   run_pair_bench(state, core::evaluate_pair_flat, 1u << 20);

@@ -24,8 +24,8 @@ namespace {
 // Telemetry. Counters are never touched per splice: evaluate_pair
 // accumulates into its SpliceStats as before and a flush object adds
 // the per-pair deltas to the registry on the way out, so the DFS inner
-// loop costs at most one plain increment (the node count) and the
-// registry sees a handful of relaxed adds per pair. All splice.*
+// loops (fold and the leaf-join sweep) never touch the registry, which
+// sees a handful of relaxed adds per pair. All splice.*
 // counters are additive and thread-count invariant (Tag
 // kDeterministic); sched.* depends on worker interleaving.
 // ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ namespace {
 struct SpliceMetrics {
   obs::Counter files, packets, pairs, splices, fast, slow, caught_by_header,
       identical, remaining, missed_crc, missed_transport, missed_koopman_dual,
-      missed_koopman_single, dfs_nodes;
+      missed_koopman_single, dfs_nodes, leaf_evals;
   obs::Counter sched_files, sched_chunks, sched_steals;
   obs::Gauge sched_open_files;
   obs::Histogram packetize_ns, chunk_ns;
@@ -57,6 +57,7 @@ const SpliceMetrics& smx() {
     v.missed_koopman_dual = r.counter("splice.missed_koopman_dual");
     v.missed_koopman_single = r.counter("splice.missed_koopman_single");
     v.dfs_nodes = r.counter("splice.dfs_nodes");
+    v.leaf_evals = r.counter("splice.leaf_evals");
     v.sched_files = r.counter("sched.files_claimed", obs::Tag::kScheduling);
     v.sched_chunks = r.counter("sched.chunks_claimed", obs::Tag::kScheduling);
     v.sched_steals = r.counter("sched.chunks_stolen", obs::Tag::kScheduling);
@@ -104,9 +105,11 @@ class SpliceObsFlush {
     m.missed_koopman_dual.add(st_.missed_koopman_dual - missed_kd_);
     m.missed_koopman_single.add(st_.missed_koopman_single - missed_ks_);
     m.dfs_nodes.add(dfs_nodes);
+    m.leaf_evals.add(leaf_evals);
   }
 
-  std::uint64_t dfs_nodes = 0;  ///< folds performed by the DFS walk
+  std::uint64_t dfs_nodes = 0;   ///< folds performed by the DFS walk
+  std::uint64_t leaf_evals = 0;  ///< DFS leaves classified in full
 
  private:
   // Only the flushed scalars are captured — copying the whole
@@ -122,6 +125,7 @@ class SpliceObsFlush {
  public:
   explicit SpliceObsFlush(SpliceStats&) {}
   std::uint64_t dfs_nodes = 0;
+  std::uint64_t leaf_evals = 0;
 };
 
 #endif
@@ -162,7 +166,26 @@ struct PairContext {
   /// Per p1 non-EOM cell: would these 48 bytes pass the header checks
   /// as the first cell of a splice of p2's AAL5 length?
   const std::uint8_t* hdr_ok = nullptr;
+  /// p1's header cell carries p2's cell-0 data (identical-to-p2 is
+  /// possible for splices starting with it).
+  bool ident2_head = false;
 };
+
+/// Does p1's header cell deliver the same data as p2's? The identity
+/// test ignores the transport check field, which under header
+/// placement lies inside this cell (IP bytes 36-37), so the cell
+/// hashes only decide it under trailer placement.
+bool header_cells_match(const net::PacketConfig& cfg, const SimPacket& p1,
+                        const SimPacket& p2) {
+  if (cfg.placement != net::ChecksumPlacement::kHeader)
+    return p1.cells[0].hash == p2.cells[0].hash;
+  constexpr std::size_t kCheckAt = net::kIpv4HeaderLen + 16;
+  const util::ByteView a = p1.pdu.cell(0);
+  const util::ByteView b = p2.pdu.cell(0);
+  return std::equal(a.begin(), a.begin() + kCheckAt, b.begin()) &&
+         std::equal(a.begin() + kCheckAt + 2, a.end(),
+                    b.begin() + kCheckAt + 2);
+}
 
 /// hdr_ok for the pair: reuse p1's precomputed self-check when the
 /// lengths (and check flavour) match, else compute into `scratch`.
@@ -257,8 +280,19 @@ void eval_slow(const PairContext& ctx, const atm::SpliceSpec& s,
 // a subset's fold independent of k1 — one pool of 2^e2 - 1 combos,
 // bucketed by size, serves every phase-1 branch. Phase 1 walks p1's
 // kept subsets (after the mandatory first cell) in ascending order and
-// joins each node against the bucket with the matching k2. Leaves cost
-// a handful of adds; each pool/walk edge folds one cell.
+// joins each node against the bucket with the matching k2; each
+// pool/walk edge folds one cell.
+//
+// The join is residue-filtered. Every check is an equality of
+// (node term + combo term) against a target under some modulus (XOR
+// for the CRC), so each pooled combo is reduced once per pair to u32
+// residues (JoinBucket) and each node turns the pair targets into the
+// residues a combo would need to pass. A sweep of branch-free equality
+// compares over the bucket flags the leaves that could pass a check
+// or be identical — a necessary condition only; flagged leaves go
+// through dfs_leaf/classify unchanged. Every other leaf is, by
+// construction, non-identical with all checks failing, and is counted
+// in bulk.
 // ---------------------------------------------------------------------------
 
 /// Accumulated contributions of the cells a DFS branch has chosen so
@@ -290,7 +324,6 @@ struct DfsPair {
   bool mod255 = false;
   bool track1 = false;       ///< n1 == n2: identical-to-p1 is possible
   bool ident1_base = false;  ///< track1 and EOM coverage matches p1's
-  bool ident2_head = false;  ///< first cell's hash matches p2's cell 0
   // Pair constants: first cell at position 0 plus the EOM cell.
   std::uint64_t iconst = 0;
   std::uint64_t fconst_a = 0, fconst_b = 0;
@@ -302,12 +335,18 @@ struct DfsPair {
   std::uint64_t ks_target = 0;
   std::uint32_t crc_target = 0;
   std::uint16_t stored_canon = 0;
+  /// Residue mod 65535 of the Internet sum that passes (stored_canon,
+  /// negated when the stored field holds the complement).
+  std::uint32_t inet_need = 0;
   SpliceStats* st = nullptr;
   /// Fold count for splice.dfs_nodes, flushed per pair. The pooled
   /// paths never touch it per fold — their counts are derived in
   /// closed form by evaluate_pair — so only suffix_exact (packets too
   /// large to pool; none under the default MTUs) increments it live.
   std::uint64_t* dfs_nodes = nullptr;
+  /// Leaves classified in full by dfs_leaf, for splice.leaf_evals. The
+  /// pooled join adds its hit count once per node, after the sweep.
+  std::uint64_t* leaf_evals = nullptr;
 };
 
 #ifndef OBS_DISABLE
@@ -366,7 +405,7 @@ void dfs_leaf(const DfsPair& fs, const Agg& a1, const SuffixCombo& c2,
               unsigned k1) {
   const PairContext& ctx = *fs.ctx;
   const bool identical = (fs.ident1_base && a1.eq1 && c2.agg.eq1) ||
-                         (fs.ident2_head && a1.eq2 && c2.agg.eq2);
+                         (ctx.ident2_head && a1.eq2 && c2.agg.eq2);
   bool transport_pass;
   if (ctx.fletcher) {
     const std::uint32_t m = fs.mod255 ? 255u : 256u;
@@ -413,11 +452,146 @@ void suffix_pool(const DfsPair& fs, int from, unsigned r, const Agg& agg,
   }
 }
 
+/// Sweep width of the leaf join: a fixed trip count lets the compiler
+/// vectorize the compares without a scalar epilogue.
+constexpr std::size_t kJoinBlock = 16;
+
+/// One pooled size bucket as the leaf join sweeps it: per combo, the
+/// u32 residues its check terms leave under each check's modulus,
+/// padded with all-ones entries to a whole number of sweep blocks.
+/// Padding is never classified; the all-ones residues can only equal
+/// a node's CRC target, which costs one rescan of the block.
+struct JoinBucket {
+  /// Internet: inet mod 65535. Fletcher: (fa mod m) | (fb mod m) << 16.
+  std::vector<std::uint32_t> tkey;
+  std::vector<std::uint32_t> crc;
+  /// (ka mod kKoopmanDualMod) | (kb mod kKoopmanDualMod) << 16.
+  std::vector<std::uint32_t> kd;
+  std::vector<std::uint32_t> ks;  ///< ks mod kKoopmanSingleMod
+  std::vector<std::uint8_t> eq;   ///< bit 0: eq1, bit 1: eq2
+  const SuffixCombo* combos = nullptr;  ///< the bucket, for flagged leaves
+  std::size_t size = 0;
+  std::uint64_t hdr2 = 0;  ///< combos holding p2's header cell
+};
+
+/// Residue mod M a combo term must leave for node term x to reach
+/// target t: (t - x) mod M.
+template <std::uint64_t M>
+inline std::uint32_t need_mod(std::uint64_t t, std::uint64_t x) {
+  return static_cast<std::uint32_t>((t % M + M - x % M) % M);
+}
+
+template <std::uint64_t M>
+inline std::uint32_t pair_residue(std::uint64_t a, std::uint64_t b) {
+  return static_cast<std::uint32_t>(a % M | (b % M) << 16);
+}
+
+void build_join(const DfsPair& fs, const std::vector<SuffixCombo>& combos,
+                JoinBucket& b) {
+  const std::size_t n = combos.size();
+  const std::size_t padded = (n + kJoinBlock - 1) / kJoinBlock * kJoinBlock;
+  b.tkey.assign(padded, ~0u);
+  b.crc.assign(padded, ~0u);
+  b.kd.assign(padded, ~0u);
+  b.ks.assign(padded, ~0u);
+  b.eq.assign(padded, 0);
+  b.combos = combos.data();
+  b.size = n;
+  b.hdr2 = 0;
+  const bool fletcher = fs.ctx->fletcher;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Agg& a = combos[i].agg;
+    if (!fletcher) {
+      b.tkey[i] = static_cast<std::uint32_t>(a.inet % 65535u);
+    } else {
+      b.tkey[i] = fs.mod255 ? pair_residue<255>(a.fa, a.fb)
+                            : pair_residue<256>(a.fa, a.fb);
+    }
+    b.crc[i] = a.crc;
+    b.kd[i] = pair_residue<alg::kKoopmanDualMod>(a.ka, a.kb);
+    b.ks[i] = static_cast<std::uint32_t>(a.ks % alg::kKoopmanSingleMod);
+    b.eq[i] = static_cast<std::uint8_t>((a.eq1 ? 1u : 0u) | (a.eq2 ? 2u : 0u));
+    b.hdr2 += combos[i].hdr2 ? 1 : 0;
+  }
+}
+
+/// Join the prefix node `a1` (k1 cells from p1) against its bucket.
+/// The node's targets are the residues a combo must carry for each
+/// check to pass (both halves of a pair sum packed into one word), plus
+/// the identity bits that could still make the splice identical. Any
+/// match sends the leaf to dfs_leaf, which decides it; the rest are
+/// non-identical and fail every check.
+void join_leaves(const DfsPair& fs, const Agg& a1, unsigned k1,
+                 const JoinBucket& b) {
+  constexpr std::uint64_t kd_mod = alg::kKoopmanDualMod;
+  std::uint32_t t_tkey;
+  if (!fs.ctx->fletcher) {
+    t_tkey = need_mod<65535>(fs.inet_need, fs.iconst + a1.inet);
+  } else if (fs.mod255) {
+    t_tkey = need_mod<255>(0, fs.fconst_a + a1.fa) |
+             need_mod<255>(0, fs.fconst_b + a1.fb) << 16;
+  } else {
+    t_tkey = need_mod<256>(0, fs.fconst_a + a1.fa) |
+             need_mod<256>(0, fs.fconst_b + a1.fb) << 16;
+  }
+  const std::uint32_t t_crc = fs.crc_target ^ a1.crc;
+  const std::uint32_t t_kd =
+      need_mod<kd_mod>(fs.kd_target.a, fs.kconst_a + a1.ka) |
+      need_mod<kd_mod>(fs.kd_target.b, fs.kconst_b + a1.kb) << 16;
+  const std::uint32_t t_ks =
+      need_mod<alg::kKoopmanSingleMod>(fs.ks_target, fs.ksconst + a1.ks);
+  const std::uint8_t t_eq = static_cast<std::uint8_t>(
+      (fs.ident1_base && a1.eq1 ? 1u : 0u) |
+      (fs.ctx->ident2_head && a1.eq2 ? 2u : 0u));
+
+  const std::uint32_t* tkey = b.tkey.data();
+  const std::uint32_t* crc = b.crc.data();
+  const std::uint32_t* kd = b.kd.data();
+  const std::uint32_t* ks = b.ks.data();
+  const std::uint8_t* eq = b.eq.data();
+  const auto flagged = [&](std::size_t i) -> std::uint32_t {
+    return static_cast<std::uint32_t>(tkey[i] == t_tkey) |
+           static_cast<std::uint32_t>(crc[i] == t_crc) |
+           static_cast<std::uint32_t>(kd[i] == t_kd) |
+           static_cast<std::uint32_t>(ks[i] == t_ks) |
+           static_cast<std::uint32_t>((eq[i] & t_eq) != 0);
+  };
+
+  std::uint64_t hits = 0, hits_hdr2 = 0;
+  for (std::size_t base = 0; base < b.size; base += kJoinBlock) {
+    std::uint32_t any = 0;
+    for (std::size_t j = 0; j < kJoinBlock; ++j) any |= flagged(base + j);
+    if (any == 0) continue;
+    const std::size_t end = std::min(base + kJoinBlock, b.size);
+    for (std::size_t i = base; i < end; ++i) {
+      if (flagged(i) == 0) continue;
+      dfs_leaf(fs, a1, b.combos[i], k1);
+      ++hits;
+      hits_hdr2 += b.combos[i].hdr2 ? 1 : 0;
+    }
+  }
+
+  SpliceStats& st = *fs.st;
+  const std::uint64_t misses = b.size - hits;
+  const std::size_t n2 = fs.ctx->p2->cells.size();
+  st.remaining += misses;
+  st.fail_changed += misses;
+  st.remaining_by_k[std::min<std::size_t>(n2 - k1, kMaxTrackedK - 1)] +=
+      misses;
+  st.remaining_with_hdr2 += b.hdr2 - hits_hdr2;
+#ifndef OBS_DISABLE
+  *fs.leaf_evals += hits;
+#endif
+}
+
 /// Exact-size variant for packets too large to pool (2^e2 combos):
 /// regrow the suffix per phase-1 node, still prefix-shared within it.
 void suffix_exact(const DfsPair& fs, int from, unsigned need, unsigned r,
                   const Agg& a2, bool hdr2, const Agg& a1, unsigned k1) {
   if (r == need) {
+#ifndef OBS_DISABLE
+    ++*fs.leaf_evals;  // cold path, as dfs_nodes below
+#endif
     dfs_leaf(fs, a1, {a2, hdr2}, k1);
     return;
   }
@@ -441,15 +615,20 @@ constexpr unsigned kMaxPooledSuffixCells = 14;
 
 /// Phase 1: DFS over p1's kept cells after the mandatory first cell.
 /// The node reached after choosing t cells (k1 = t+1) joins every
-/// pooled suffix of size e2-k1, then extends by each later cell; a
-/// subset's fold happens once, on the edge adding its largest index.
+/// pooled suffix of size e2-k1 (`join`, indexed by k2; null when the
+/// suffix is regrown by suffix_exact), then extends by each later
+/// cell; a subset's fold happens once, on the edge adding its largest
+/// index.
 void prefix_walk(const DfsPair& fs, unsigned from, unsigned t, const Agg& agg,
-                 const std::vector<std::vector<SuffixCombo>>* buckets) {
+                 const JoinBucket* join) {
   const unsigned k1 = t + 1;
   const unsigned k2 = fs.e2 - k1;
-  if (buckets != nullptr) {
-    for (const SuffixCombo& c2 : (*buckets)[k2]) dfs_leaf(fs, agg, c2, k1);
+  if (join != nullptr) {
+    join_leaves(fs, agg, k1, join[k2]);
   } else if (k2 == 0) {
+#ifndef OBS_DISABLE
+    ++*fs.leaf_evals;
+#endif
     dfs_leaf(fs, agg, SuffixCombo{}, k1);
   } else {
     suffix_exact(fs, static_cast<int>(fs.e2) - 1, k2, 0, Agg{}, false, agg,
@@ -459,7 +638,7 @@ void prefix_walk(const DfsPair& fs, unsigned from, unsigned t, const Agg& agg,
   for (unsigned idx = from; idx < fs.e1; ++idx) {
     Agg a = agg;
     fold(fs, a, fs.c1[idx], t + 1);
-    prefix_walk(fs, idx + 1, t + 1, a, buckets);
+    prefix_walk(fs, idx + 1, t + 1, a, join);
   }
 }
 
@@ -510,7 +689,8 @@ void eval_fast_flat(const PairContext& ctx, const atm::SpliceSpec& s,
     crc = pos == 0 ? c.crc : comb48().combine(crc, c.crc);
     kd = alg::koopman_dual_combine(kd, c.kd, kKoopmanBlocksPerCell);
     ks += c.ks;
-    ident2 = ident2 && c.hash == p2.cells[pos].hash;
+    ident2 = ident2 &&
+             (pos == 0 ? ctx.ident2_head : c.hash == p2.cells[pos].hash);
     if (ident1) ident1 = c.hash == p1.cells[pos].hash;
     if (pos != 0) {
       inet += c.inet;
@@ -577,6 +757,7 @@ PairContext make_pair_context(const net::PacketConfig& cfg, const SimPacket& p1,
   ctx.mod255 = cfg.transport == alg::Algorithm::kFletcher255;
   ctx.header_placement = cfg.placement == net::ChecksumPlacement::kHeader;
   ctx.hdr_ok = pair_hdr_ok(cfg, p1, p2, hdr_scratch);
+  ctx.ident2_head = header_cells_match(cfg, p1, p2);
   return ctx;
 }
 
@@ -720,7 +901,6 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.mod255 = ctx.mod255;
   fs.track1 = n1 == n2;
   fs.ident1_base = fs.track1 && p2.eom_cov_hash == p1.eom_cov_hash;
-  fs.ident2_head = p1.cells[0].hash == p2.cells[0].hash;
   fs.iconst = static_cast<std::uint64_t>(p1.tp.head_sum) + p2.tp.eom_sum;
   {
     const alg::FletcherPair& hf =
@@ -748,8 +928,11 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
   fs.ks_target = p2.ks_pdu;
   fs.stored_canon = alg::ones_canonical(ctx.header_placement ? p1.tp.stored
                                                              : p2.tp.stored);
+  fs.inet_need = cfg.invert_checksum ? (65535u - fs.stored_canon) % 65535u
+                                     : fs.stored_canon;
   fs.st = &stats;
   fs.dfs_nodes = &obs_flush.dfs_nodes;
+  fs.leaf_evals = &obs_flush.leaf_evals;
 
   if (fs.e2 <= kMaxPooledSuffixCells) {
     thread_local std::vector<std::vector<SuffixCombo>> buckets;
@@ -766,7 +949,12 @@ void evaluate_pair(const net::PacketConfig& cfg, const SimPacket& p1,
       obs_flush.dfs_nodes += buckets[r].size();
     obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);
 #endif
-    prefix_walk(fs, 1, 0, Agg{}, &buckets);
+    // One SoA residue image per bucket, reduced once per pair and
+    // swept by every prefix node that joins it.
+    thread_local std::vector<JoinBucket> join;
+    if (join.size() < fs.e2) join.resize(fs.e2);
+    for (unsigned r = 0; r < fs.e2; ++r) build_join(fs, buckets[r], join[r]);
+    prefix_walk(fs, 1, 0, Agg{}, join.data());
   } else {
 #ifndef OBS_DISABLE
     obs_flush.dfs_nodes += prefix_fold_count(fs.e1, fs.e2);

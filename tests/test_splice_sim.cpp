@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiments.hpp"
 #include "core/pdu_model.hpp"
@@ -33,8 +36,9 @@ net::FlowConfig flow_with(alg::Algorithm transport,
 
 /// Reference statistics computed entirely through the byte-level
 /// oracle: a full mirror of evaluate_pair's classification, down to
-/// the k-histograms, hdr2 population and Table 10 matrix. Only the
-/// fast_path/slow_path evaluator-internals are left at zero.
+/// the k-histograms, hdr2 population, Koopman columns and Table 10
+/// matrix. Only the fast_path/slow_path evaluator-internals are left
+/// at zero.
 SpliceStats reference_pair_stats(const net::PacketConfig& cfg,
                                  const SimPacket& p1, const SimPacket& p2) {
   SpliceStats st;
@@ -65,6 +69,8 @@ SpliceStats reference_pair_stats(const net::PacketConfig& cfg,
         }
         if (o.crc_pass) ++st.missed_crc;
         if (o.crc_pass && o.transport_pass) ++st.missed_both;
+        if (o.koopman_dual_pass) ++st.missed_koopman_dual;
+        if (o.koopman_single_pass) ++st.missed_koopman_single;
         const std::size_t k = std::min<std::size_t>(n2 - s.k1, kMaxTrackedK - 1);
         ++st.remaining_by_k[k];
         if (o.transport_pass) ++st.missed_by_k[k];
@@ -86,6 +92,34 @@ SpliceStats without_path_counters(SpliceStats st) {
   return st;
 }
 
+/// evaluate_pair on one pair, with the ENTIRE result checked bitwise
+/// against the byte-level oracle mirror (path counters aside, which
+/// must partition the total).
+SpliceStats dfs_checked_by_oracle(const net::PacketConfig& cfg,
+                                  const SimPacket& p1, const SimPacket& p2,
+                                  const std::string& label) {
+  SpliceStats fast;
+  evaluate_pair(cfg, p1, p2, fast);
+  EXPECT_EQ(fast.fast_path + fast.slow_path, fast.total) << label;
+  EXPECT_TRUE(without_path_counters(fast) ==
+              reference_pair_stats(cfg, p1, p2))
+      << label;
+  return fast;
+}
+
+/// Two packets with the same header fields (sequence number, IP id),
+/// so they differ only where their payloads do.
+std::pair<SimPacket, SimPacket> same_header_pair(const net::FlowConfig& flow,
+                                                 const Bytes& pay1,
+                                                 const Bytes& pay2) {
+  const auto packet = [&](const Bytes& pay) {
+    return make_sim_packet(flow.packet,
+                           net::build_packet(flow.packet, flow.initial_seq, 1,
+                                             ByteView(pay)));
+  };
+  return {packet(pay1), packet(pay2)};
+}
+
 void expect_same_counters(const SpliceStats& fast, const SpliceStats& ref,
                           const char* label) {
   EXPECT_EQ(fast.total, ref.total) << label;
@@ -98,6 +132,8 @@ void expect_same_counters(const SpliceStats& fast, const SpliceStats& ref,
   EXPECT_EQ(fast.pass_identical, ref.pass_identical) << label;
   EXPECT_EQ(fast.pass_changed, ref.pass_changed) << label;
   EXPECT_EQ(fast.fail_changed, ref.fail_changed) << label;
+  EXPECT_EQ(fast.missed_koopman_dual, ref.missed_koopman_dual) << label;
+  EXPECT_EQ(fast.missed_koopman_single, ref.missed_koopman_single) << label;
 }
 
 struct CrossCase {
@@ -310,36 +346,194 @@ TEST(FastVsReference, DfsBitwiseEqualsOracleOnCraftedPairs) {
                               static_cast<std::uint32_t>(pay1.size()),
                           2, ByteView(pay2)));
 
-    SpliceStats fast;
-    evaluate_pair(flow.packet, p1, p2, fast);
-    EXPECT_EQ(fast.fast_path + fast.slow_path, fast.total)
-        << "trial " << trial;
-    const SpliceStats ref = reference_pair_stats(flow.packet, p1, p2);
-    EXPECT_TRUE(without_path_counters(fast) == ref)
-        << "trial " << trial << " n1=" << n1 << " n2=" << n2;
+    dfs_checked_by_oracle(flow.packet, p1, p2,
+                          "trial " + std::to_string(trial) +
+                              " n1=" + std::to_string(n1) +
+                              " n2=" + std::to_string(n2));
   }
+}
+
+TEST(FastVsReference, DfsBitwiseEqualsOracleOnPermutedCells) {
+  // p2 repeats p1's header (same sequence number and IP id) over p1's
+  // data cells in shuffled order. The two header cells are then equal,
+  // and every splice whose data cells rearrange p1's passes the
+  // position-independent sums (Internet, Koopman single) without
+  // reproducing either packet — the pass paths of the DFS leaf join,
+  // which random data almost never reaches. Under header placement a
+  // Fletcher check field differs between the two header cells, so the
+  // evaluators' identity test must ignore it just as the oracle does.
+  // The whole result must equal the byte-level oracle bit for bit.
+  util::Rng rng(0x9e3d);
+  std::uint64_t missed_ks = 0;
+  std::uint64_t missed_inet = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    net::FlowConfig flow = paper_flow_config();
+    flow.packet.transport =
+        std::array{alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+                   alg::Algorithm::kFletcher256}[trial % 3];
+    flow.packet.placement = (trial / 3) % 2 == 0
+                                ? net::ChecksumPlacement::kHeader
+                                : net::ChecksumPlacement::kTrailer;
+    flow.packet.invert_checksum = rng.chance(0.5);
+
+    // Cell 0 holds the 40-byte header and 8 payload bytes, cells
+    // 1..n-2 whole 48-byte chunks, the EOM cell a 0..38-byte tail plus
+    // the trailer check field (if any) and the AAL5 trailer.
+    const std::size_t n = 4 + rng.below(9);  // 4..12 cells
+    const std::size_t chunks = n - 2;
+    Bytes pay1(8 + 48 * chunks + rng.below(39));
+    rng.fill(pay1);
+    std::vector<std::size_t> order(chunks);
+    for (std::size_t j = 0; j < chunks; ++j) order[j] = j;
+    while (std::is_sorted(order.begin(), order.end())) {
+      for (std::size_t j = chunks - 1; j > 0; --j)
+        std::swap(order[j], order[rng.below(j + 1)]);
+    }
+    Bytes pay2 = pay1;
+    for (std::size_t j = 0; j < chunks; ++j)
+      std::copy_n(pay1.begin() + 8 + 48 * order[j], 48,
+                  pay2.begin() + 8 + 48 * j);
+
+    const auto [p1, p2] = same_header_pair(flow, pay1, pay2);
+    ASSERT_EQ(p1.pdu.num_cells(), n);
+    ASSERT_EQ(p2.pdu.num_cells(), n);
+    const SpliceStats fast = dfs_checked_by_oracle(
+        flow.packet, p1, p2, "trial " + std::to_string(trial));
+    missed_ks += fast.missed_koopman_single;
+    if (flow.packet.transport == alg::Algorithm::kInternet)
+      missed_inet += fast.missed_transport;
+  }
+  EXPECT_GT(missed_ks, 0u);
+  EXPECT_GT(missed_inet, 0u);
+}
+
+TEST(FastVsReference, DfsBitwiseEqualsOracleOnChecksumCollisions) {
+  // p2 repeats p1 (same header, trailer placement so the header cells
+  // stay equal) except in two data cells. The first is altered so that
+  // one family of checks cannot see the change:
+  //  - sums-blind: +1, -2, +1 on byte 7 of blocks 0..2, a second
+  //    difference of every position-linear weighting, so Internet,
+  //    Fletcher and both Koopman sums stay unchanged;
+  //  - crc-blind: XOR with the CRC-32 generator polynomial (reflected
+  //    bit order), a multiple of it, so the AAL5 CRC stays unchanged;
+  //  - kd-blind: +65521 on block 3, so only the Koopman dual (mod
+  //    65521) stays unchanged.
+  // The second gets a visible change. A straight splice that keeps
+  // p1's copy of the first and p2's copy of the second then differs
+  // from p2 only where blind: non-identical, yet that family passes —
+  // the join's pass paths for the CRC and each Koopman sum alone,
+  // which neither random nor permuted data reaches.
+  util::Rng rng(0xc011);
+  std::array<std::uint64_t, 3> missed_transport{};
+  std::uint64_t missed_crc = 0, missed_kd = 0, missed_ks = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t t = static_cast<std::size_t>(trial) % 3;
+    const int blind = (trial / 3) % 3;  // 0 sums, 1 crc, 2 kd
+    net::FlowConfig flow = paper_flow_config();
+    flow.packet.transport =
+        std::array{alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+                   alg::Algorithm::kFletcher256}[t];
+    flow.packet.placement = net::ChecksumPlacement::kTrailer;
+    flow.packet.invert_checksum = rng.chance(0.5);
+
+    const std::size_t n = 5 + rng.below(6);  // 5..10 cells
+    const std::size_t chunks = n - 2;        // whole data cells
+    Bytes pay1(8 + 48 * chunks + rng.below(39));
+    rng.fill(pay1);
+    const std::size_t first = 1 + rng.below(chunks - 1);
+    const std::size_t second = first + 1 + rng.below(chunks - first);
+    const auto cell_at = [](Bytes& pay, std::size_t cell) {
+      return pay.begin() + 8 + 48 * static_cast<std::ptrdiff_t>(cell - 1);
+    };
+    for (const std::size_t cell : {first, second}) {
+      for (const std::size_t i : {7u, 15u, 23u}) cell_at(pay1, cell)[i] = 0x10;
+      for (const std::size_t i : {29u, 30u, 31u}) cell_at(pay1, cell)[i] = 0;
+    }
+    Bytes pay2 = pay1;
+    const auto sums_blind = [&](std::size_t cell) {
+      cell_at(pay2, cell)[7] += 1;
+      cell_at(pay2, cell)[15] -= 2;
+      cell_at(pay2, cell)[23] += 1;
+    };
+    const auto crc_blind = [&](std::size_t cell) {
+      constexpr std::array<std::uint8_t, 5> kGenerator{0x41, 0x06, 0x71,
+                                                       0xdb, 0x01};
+      for (std::size_t i = 0; i < kGenerator.size(); ++i)
+        cell_at(pay2, cell)[36 + i] ^= kGenerator[i];
+    };
+    const auto kd_blind = [&](std::size_t cell) {
+      cell_at(pay2, cell)[30] = 0xff;  // block 3 (big-endian) += 0xfff1
+      cell_at(pay2, cell)[31] = 0xf1;
+    };
+    if (blind == 0) sums_blind(first);
+    if (blind == 1) crc_blind(first);
+    if (blind == 2) kd_blind(first);
+    if (blind == 1) {
+      sums_blind(second);
+    } else {
+      crc_blind(second);
+    }
+
+    const auto [p1, p2] = same_header_pair(flow, pay1, pay2);
+    ASSERT_EQ(p2.pdu.num_cells(), n);
+    if (blind == 1) {
+      ASSERT_EQ(p1.cells[first].crc, p2.cells[first].crc);
+    } else if (blind == 2) {
+      ASSERT_EQ(p1.cells[first].kd, p2.cells[first].kd);
+    }
+
+    const SpliceStats fast = dfs_checked_by_oracle(
+        flow.packet, p1, p2, "trial " + std::to_string(trial));
+    missed_transport[t] += fast.missed_transport;
+    missed_crc += fast.missed_crc;
+    if (blind == 2) missed_kd += fast.missed_koopman_dual;
+    missed_ks += fast.missed_koopman_single;
+  }
+  EXPECT_GT(missed_crc, 0u);
+  EXPECT_GT(missed_kd, 0u);  // from kd-blind pairs, where nothing else passes
+  EXPECT_GT(missed_ks, 0u);
+  for (const std::uint64_t m : missed_transport) EXPECT_GT(m, 0u);
 }
 
 TEST(SpliceSim, FlatEvaluatorBitwiseMatchesDfs) {
   // The flat enumerator (kept as the benchmark baseline) and the DFS
   // must agree on everything, including which splices are slow-path:
   // both defer exactly the header-passing splices that don't start at
-  // pkt1's cell 0.
-  for (const auto placement : {net::ChecksumPlacement::kHeader,
-                               net::ChecksumPlacement::kTrailer}) {
-    const net::FlowConfig flow =
-        flow_with(alg::Algorithm::kInternet, placement);
-    const Bytes file =
-        fsgen::generate_file(fsgen::FileKind::kGmonProfile, 21, 8000);
-    const auto pkts = packetize_file(flow, ByteView(file));
-    ASSERT_GE(pkts.size(), 2u);
-    SpliceStats dfs, flat;
-    for (std::size_t i = 0; i + 1 < pkts.size(); ++i) {
-      evaluate_pair(flow.packet, pkts[i], pkts[i + 1], dfs);
-      evaluate_pair_flat(flow.packet, pkts[i], pkts[i + 1], flat);
+  // pkt1's cell 0. Covered across segment sizes (7-, 9- and 12-cell
+  // packets, so the join's sweep sees partial and multi-block
+  // buckets), every transport, both placements and both check-field
+  // conventions.
+  for (const std::size_t segment : {256u, 384u, 512u}) {
+    for (const auto transport :
+         {alg::Algorithm::kInternet, alg::Algorithm::kFletcher255,
+          alg::Algorithm::kFletcher256}) {
+      for (const auto placement : {net::ChecksumPlacement::kHeader,
+                                   net::ChecksumPlacement::kTrailer}) {
+        for (const bool invert : {true, false}) {
+          net::FlowConfig flow = flow_with(transport, placement, invert);
+          flow.segment_size = segment;
+          // The full 8000-byte file (about 31 pairs) at 256 bytes; a
+          // two-pair file at the larger segments, where the flat
+          // enumerator's cost per pair grows fastest.
+          const Bytes file = fsgen::generate_file(
+              fsgen::FileKind::kGmonProfile, 21,
+              segment == 256 ? 8000 : 2 * segment + 100);
+          const auto pkts = packetize_file(flow, ByteView(file));
+          ASSERT_GE(pkts.size(), 2u);
+          SpliceStats dfs, flat;
+          for (std::size_t i = 0; i + 1 < pkts.size(); ++i) {
+            evaluate_pair(flow.packet, pkts[i], pkts[i + 1], dfs);
+            evaluate_pair_flat(flow.packet, pkts[i], pkts[i + 1], flat);
+          }
+          EXPECT_TRUE(dfs == flat)
+              << "segment " << segment << " transport "
+              << static_cast<int>(transport) << " trailer "
+              << (placement == net::ChecksumPlacement::kTrailer)
+              << " invert " << invert;
+          EXPECT_EQ(flat.fast_path + flat.slow_path, flat.total);
+        }
+      }
     }
-    EXPECT_TRUE(dfs == flat);
-    EXPECT_EQ(flat.fast_path + flat.slow_path, flat.total);
   }
 }
 
