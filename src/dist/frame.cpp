@@ -70,7 +70,6 @@ std::string_view name(MsgType t) noexcept {
     case MsgType::kLeaseGrant: return "lease_grant";
     case MsgType::kLeaseResult: return "lease_result";
     case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kIdle: return "idle";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kGoodbye: return "goodbye";
     case MsgType::kNack: return "nack";
@@ -103,7 +102,7 @@ bool decode_frame_header(const std::uint8_t* hdr, MsgType* type,
   if (hdr[4] != kFrameVersion) return false;
   const std::uint8_t t = hdr[5];
   if (t < static_cast<std::uint8_t>(MsgType::kHello) ||
-      t > static_cast<std::uint8_t>(MsgType::kJobConfig))
+      t > static_cast<std::uint8_t>(MsgType::kJobConfig) || t == kRetiredType)
     return false;
   const std::uint32_t len = get_le32(hdr + 12);
   if (len > kMaxFramePayload) return false;
@@ -235,7 +234,7 @@ bool FrameChannel::recv(Frame* out, int timeout_ms) {
     std::uint32_t payload_len = 0;
     if (!decode_frame_header(hdr, &type, &seq, &payload_len)) {
       // Corrupted header: the length field can no longer be trusted,
-      // so framing is lost. Abort; the coordinator's lease layer
+      // so framing is lost. Abort; the service's lease layer
       // re-runs whatever this connection was carrying.
       broken_ = true;
       return false;

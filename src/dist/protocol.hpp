@@ -33,15 +33,17 @@ enum class CorpusKind : std::uint8_t {
                    ///< run flow FROM the store, not from this message
 };
 
-/// worker -> coordinator, first frame on the connection.
+/// worker -> service, first frame on the connection.
 struct HelloMsg {
   std::uint32_t proto = kProtocolVersion;
   std::uint64_t worker_id = 0;
   std::uint64_t pid = 0;
 };
 
-/// coordinator -> worker, answer to Hello: everything needed to
-/// reconstruct the exact single-process run configuration.
+/// Everything needed to reconstruct the exact single-process run
+/// configuration of one job; it travels inside JobConfigMsg. The
+/// service also answers Hello with a default-valued Config frame as
+/// the handshake ack, of which the worker reads only heartbeat_ms.
 struct ConfigMsg {
   CorpusKind corpus_kind = CorpusKind::kProfile;
   std::string corpus;
@@ -54,21 +56,19 @@ struct ConfigMsg {
   std::uint32_t heartbeat_ms = 1000;
 };
 
-/// coordinator -> worker: a named job's run configuration. The
-/// multi-tenant JobService sends one of these before the first lease
-/// it grants a connection for that job; the single-job Coordinator
-/// never sends it (its lone Config is job 0).
+/// service -> worker: a named job's run configuration, sent before
+/// the first lease the service grants a connection for that job.
 struct JobConfigMsg {
   std::uint64_t job = 0;
   std::string name;  ///< display name (informational)
   ConfigMsg run;
 };
 
-/// coordinator -> worker: lease on files [begin, end) of shard
+/// service -> worker: lease on files [begin, end) of shard
 /// `shard`. `epoch` is the at-most-once token — it increments on every
 /// (re)grant of the shard, and results carrying a stale epoch are
-/// discarded by the coordinator. `job` scopes the shard space: shard
-/// indices are per-job (0 for the single-job Coordinator).
+/// discarded by the service. `job` scopes the shard space: shard
+/// indices are per-job.
 struct LeaseGrantMsg {
   std::uint64_t shard = 0;
   std::uint64_t epoch = 0;
@@ -77,9 +77,9 @@ struct LeaseGrantMsg {
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator: the completed shard's statistics plus the
+/// worker -> service: the completed shard's statistics plus the
 /// deterministic-counter growth its evaluation caused in the worker's
-/// registry (obs::counter_deltas), so the coordinator can reproduce
+/// registry (obs::counter_deltas), so the service can reproduce
 /// the single-process aggregate exactly.
 struct LeaseResultMsg {
   std::uint64_t shard = 0;
@@ -89,14 +89,14 @@ struct LeaseResultMsg {
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator while evaluating (extends the lease deadline).
+/// worker -> service while evaluating (extends the lease deadline).
 struct HeartbeatMsg {
   std::uint64_t shard = 0;
   std::uint64_t epoch = 0;
   std::uint64_t job = 0;
 };
 
-/// worker -> coordinator on clean shutdown; `manifest_path` is the
+/// worker -> service on clean shutdown; `manifest_path` is the
 /// worker's own sub-manifest ("" when metrics export is off).
 struct GoodbyeMsg {
   std::string manifest_path;

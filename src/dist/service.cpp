@@ -33,16 +33,6 @@ std::uint64_t now_ms() {
           .count());
 }
 
-/// The handshake Config every connection receives as job 0: an empty
-/// manifest corpus, so the worker's mandatory job-0 load is a no-op.
-/// Every real job arrives later as a JobConfig frame.
-ConfigMsg placeholder_config() {
-  ConfigMsg m;
-  m.corpus_kind = CorpusKind::kManifest;
-  m.corpus = "";
-  return m;
-}
-
 struct ServiceMetrics {
   obs::Counter connected, lost, granted, reassigned, accepted, stale,
       heartbeats, jobs_submitted, jobs_rejected, jobs_cancelled,
@@ -70,7 +60,65 @@ ServiceMetrics service_metrics() {
   return m;
 }
 
+/// Files per lease: as given, or a few shards per worker so a loss has
+/// somewhere to go, without shattering small corpora.
+std::size_t shard_files_for(const JobSpec& spec, unsigned expected_workers) {
+  if (spec.shard_files != 0) return spec.shard_files;
+  const std::size_t target_shards =
+      std::max<std::size_t>(8, 4 * std::max(1u, expected_workers));
+  return std::max<std::size_t>(1, spec.nfiles / target_shards);
+}
+
+std::string json_u64_map(const std::map<std::string, std::uint64_t>& m) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [k, v] : m) {
+    if (!first) out += ", ";
+    first = false;
+    out += "\"" + obs::json_escape(k) + "\": " + std::to_string(v);
+  }
+  out += "}";
+  return out;
+}
+
 }  // namespace
+
+std::size_t shard_count(const JobSpec& spec, unsigned expected_workers) {
+  const std::size_t sf = shard_files_for(spec, expected_workers);
+  return (spec.nfiles + sf - 1) / sf;
+}
+
+std::string DistReport::dist_json() const {
+  std::string out = "{";
+  out += "\"workers\": " + std::to_string(workers.size());
+  out += ", \"shards\": " + std::to_string(shards);
+  out += ", \"reassigned\": " + std::to_string(reassigned);
+  out += ", \"stale_results\": " + std::to_string(stale_results);
+  out += ", \"complete\": " + std::string(complete ? "true" : "false");
+  // The run's own deterministic totals: the sum of the accepted
+  // per-worker contributions. check_manifest.py asserts both this
+  // per-run identity and that the jobs sum to the aggregate metrics.
+  std::map<std::string, std::uint64_t> totals;
+  for (const WorkerInfo& w : workers)
+    for (const auto& [name, v] : w.metrics) totals[name] += v;
+  out += ", \"metrics\": " + json_u64_map(totals);
+  out += ", \"per_worker\": [";
+  bool first = true;
+  for (const WorkerInfo& w : workers) {
+    if (!first) out += ", ";
+    first = false;
+    out += "{\"worker\": " + std::to_string(w.worker_id);
+    out += ", \"pid\": " + std::to_string(w.pid);
+    out += ", \"shards\": " + std::to_string(w.shards_accepted);
+    out += ", \"clean_exit\": " + std::string(w.clean_exit ? "true" : "false");
+    if (!w.manifest.empty())
+      out += ", \"manifest\": \"" + obs::json_escape(w.manifest) + "\"";
+    out += ", \"metrics\": " + json_u64_map(w.metrics);
+    out += "}";
+  }
+  out += "]}";
+  return out;
+}
 
 std::string_view name(JobState s) noexcept {
   switch (s) {
@@ -202,14 +250,8 @@ std::optional<std::uint64_t> JobService::submit(const JobSpec& spec) {
   std::size_t running = 0;
   for (const auto& [id, j] : impl_->jobs)
     if (j.rep.state == JobState::kRunning) ++running;
-  std::size_t shard_files = spec.shard_files;
-  if (shard_files == 0) {
-    const std::size_t target_shards =
-        std::max<std::size_t>(8, 4 * std::max(1u, cfg_.expected_workers));
-    shard_files = std::max<std::size_t>(1, spec.nfiles / target_shards);
-  }
-  const std::size_t new_shards =
-      shard_files == 0 ? 0 : (spec.nfiles + shard_files - 1) / shard_files;
+  const std::size_t shard_files = shard_files_for(spec, cfg_.expected_workers);
+  const std::size_t new_shards = shard_count(spec, cfg_.expected_workers);
   if (impl_->draining || running >= cfg_.limits.max_jobs ||
       impl_->queued_shards + new_shards > cfg_.limits.max_queued_shards) {
     impl_->met.jobs_rejected.add(1);
@@ -218,8 +260,14 @@ std::optional<std::uint64_t> JobService::submit(const JobSpec& spec) {
   const std::uint64_t id = impl_->next_job++;
   impl_->jobs.emplace(std::piecewise_construct, std::forward_as_tuple(id),
                       std::forward_as_tuple(id, spec, shard_files));
-  impl_->queued_shards += impl_->jobs.at(id).table.shard_count();
+  SJob& j = impl_->jobs.at(id);
+  impl_->queued_shards += j.table.shard_count();
   impl_->met.jobs_submitted.add(1);
+  if (j.table.complete()) {  // an empty corpus has nothing to lease
+    j.rep.state = JobState::kDone;
+    j.rep.report.complete = true;
+    impl_->met.jobs_completed.add(1);
+  }
   lk.unlock();
   const char b = 1;
   (void)!::write(wake_wr_, &b, 1);
@@ -526,7 +574,9 @@ void JobService::loop() {
           }
           c.worker_id = m->worker_id;
           c.pid = m->pid;
-          enqueue(c, MsgType::kConfig, encode(placeholder_config()));
+          // The handshake ack: only its heartbeat_ms is read; each
+          // job's run configuration follows in a JobConfig frame.
+          enqueue(c, MsgType::kConfig, encode(ConfigMsg{}));
           c.configured = true;
           im.configured++;
           im.met.connected.add(1);

@@ -1,13 +1,16 @@
-// Multi-tenant distributed splice service (docs/DIST.md).
+// The distributed splice service (docs/DIST.md).
 //
-// Where the single-job Coordinator drives exactly one run to
-// completion and returns, the JobService is long-lived: one
-// epoll-driven thread owns the listening socket and a pool of worker
-// connections shared across many concurrent named jobs. Each job keeps
-// the Coordinator's guarantees — an epoch-guarded lease table, a
-// deterministic bitwise merge, at-most-once accounting across worker
-// loss — but jobs are admitted, scheduled round-robin over the pool,
-// cancelled, and reported independently.
+// One long-lived, epoll-driven thread owns the listening socket and a
+// pool of worker connections shared across concurrent named jobs. A
+// single `cksumlab splice --serve` run is one submitted job; the
+// multi-tenant drills submit several. Each job has an epoch-guarded
+// lease table, a deterministic bitwise merge, and at-most-once
+// accounting across worker loss; jobs are admitted, scheduled
+// round-robin over the pool, cancelled, and reported independently.
+// Because SpliceStats and every deterministic counter are purely
+// additive, a job's merged report and the deterministic view of the
+// aggregate manifest are bitwise identical to a single-process run —
+// including runs where workers were lost and shards re-evaluated.
 //
 // Admission control bounds the service: at most `max_jobs` concurrent
 // jobs and `max_queued_shards` not-yet-done shards across them; a
@@ -28,13 +31,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "dist/protocol.hpp"
 
@@ -57,9 +61,38 @@ enum class JobState : std::uint8_t {
 };
 std::string_view name(JobState) noexcept;
 
-/// A job's terminal (or in-flight) view: the same per-worker
-/// decomposition the single-job Coordinator reports, scoped to one
-/// job.
+/// Shards `spec` splits into on a pool of `expected_workers` (the auto
+/// rule applies when spec.shard_files is 0) — what submit() charges
+/// against ServiceLimits::max_queued_shards.
+std::size_t shard_count(const JobSpec& spec, unsigned expected_workers);
+
+struct DistReport {
+  core::SpliceStats stats;  ///< merged over all accepted shard results
+  bool complete = false;    ///< every shard delivered (else aborted)
+  std::size_t shards = 0;
+  std::size_t reassigned = 0;    ///< re-grants after loss/expiry
+  std::size_t stale_results = 0; ///< superseded-epoch deliveries dropped
+
+  struct WorkerInfo {
+    std::uint64_t worker_id = 0;
+    std::uint64_t pid = 0;
+    std::size_t shards_accepted = 0;
+    bool clean_exit = false;   ///< sent Goodbye
+    std::string manifest;      ///< worker's sub-manifest path ("" = none)
+    /// Sum of accepted deterministic-counter deltas, keyed by metric
+    /// name — the per-worker decomposition the aggregate manifest
+    /// embeds (checked by scripts/check_manifest.py --require-dist).
+    std::map<std::string, std::uint64_t> metrics;
+  };
+  std::vector<WorkerInfo> workers;
+
+  /// The manifest's "dist" member (without the surrounding key), e.g.
+  /// {"workers": 3, "shards": 6, ..., "per_worker": [...]}.
+  std::string dist_json() const;
+};
+
+/// A job's terminal (or in-flight) view: the merged report and its
+/// per-worker decomposition.
 struct JobReport {
   std::uint64_t job = 0;
   std::string name;
@@ -79,8 +112,8 @@ struct ServiceLimits {
 
 struct ServiceConfig {
   std::uint16_t port = 0;  ///< listen port; 0 = ephemeral
-  /// Hold every grant until this many workers are configured — the
-  /// same start barrier the Coordinator uses, which is what lets the
+  /// Hold every grant until this many workers are configured, so every
+  /// worker participates from shard zero — which is what lets the
   /// fault drills kill a worker that provably holds a lease. 0 = off.
   unsigned expected_workers = 0;
   std::uint64_t lease_timeout_ms = 15000;
@@ -160,8 +193,8 @@ class JobService {
   void set_event_hook(std::function<void(const ServiceEvent&)> hook);
 
   /// Admit a job, or reject it (nullopt + dist.jobs_rejected) when the
-  /// job or queued-shard limit would be exceeded. Job ids start at 1
-  /// (id 0 is the protocol's handshake placeholder).
+  /// job or queued-shard limit would be exceeded. Job ids start at 1.
+  /// A job with no files is done on admission.
   std::optional<std::uint64_t> submit(const JobSpec& spec);
 
   /// Cancel a running job: no further grants, in-flight results are

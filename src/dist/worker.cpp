@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -35,11 +36,11 @@ namespace {
 
 /// Connect with exponential backoff and seeded jitter: 50ms doubling
 /// to a 2s ceiling, each wait stretched by up to a quarter so a fleet
-/// of workers spawned together does not hammer the coordinator in
+/// of workers spawned together does not hammer the service in
 /// lockstep. Gives up after ~12s of cumulative waiting (same overall
 /// patience as the old fixed 40x250ms schedule).
-int connect_coordinator(const std::string& host, std::uint16_t port,
-                        std::uint64_t seed) {
+int connect_service(const std::string& host, std::uint16_t port,
+                    std::uint64_t seed) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -225,7 +226,7 @@ int run_worker(const WorkerOptions& opts) {
   alg::kern::register_kernel_metrics();
   register_dist_metrics();
 
-  const int fd = connect_coordinator(opts.host, opts.port, opts.worker_id);
+  const int fd = connect_service(opts.host, opts.port, opts.worker_id);
   if (fd < 0) {
     std::fprintf(stderr, "dist worker %llu: cannot connect to %s:%u\n",
                  static_cast<unsigned long long>(opts.worker_id),
@@ -239,44 +240,38 @@ int run_worker(const WorkerOptions& opts) {
   hello.pid = static_cast<std::uint64_t>(::getpid());
   if (!ch.send(MsgType::kHello, encode(hello))) return 1;
 
+  // The handshake ack carries only the heartbeat interval; each job's
+  // configuration arrives as a JobConfig frame before its first lease.
   Frame f;
   if (!ch.recv(&f, 15000) || f.type != MsgType::kConfig) return 1;
-  const auto cfg = decode_config(util::ByteView(f.payload));
-  if (!cfg) return 1;
+  const auto ack = decode_config(util::ByteView(f.payload));
+  if (!ack) return 1;
 
-  // Job table: the single-job Coordinator's lone Config is job 0; the
-  // multi-tenant JobService adds further jobs with JobConfig frames
-  // before the first lease it grants this connection for each.
   std::map<std::uint64_t, WorkerJob> jobs;
-  auto add_job = [&](std::uint64_t id, const ConfigMsg& jc) -> bool {
-    WorkerJob j;
-    j.cfg = jc;
-    try {
-      j.corpus = load_corpus(jc);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "dist worker %llu: bad corpus config: %s\n",
-                   static_cast<unsigned long long>(opts.worker_id), e.what());
-      return false;
-    }
-    j.run = make_run_config(jc, j.corpus);
-    jobs.erase(id);
-    jobs.emplace(id, std::move(j));
-    return true;
-  };
-  if (!add_job(0, *cfg)) return 1;
-
   obs::Registry& reg = obs::Registry::global();
   const auto start = std::chrono::steady_clock::now();
-  HeartbeatPump pump(ch, cfg->heartbeat_ms, opts.worker_id);
+  HeartbeatPump pump(ch, ack->heartbeat_ms, opts.worker_id);
 
   while (true) {
-    // Generous wait: the coordinator may hold grants back until the
+    // Generous wait: the service may hold grants back until the
     // whole fleet has connected (the start barrier).
     if (!ch.recv(&f, 60000)) return 1;
     switch (f.type) {
       case MsgType::kJobConfig: {
         const auto m = decode_job_config(util::ByteView(f.payload));
-        if (!m || !add_job(m->job, m->run)) return 1;
+        if (!m) return 1;
+        WorkerJob j;
+        j.cfg = m->run;
+        try {
+          j.corpus = load_corpus(m->run);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "dist worker %llu: bad corpus config: %s\n",
+                       static_cast<unsigned long long>(opts.worker_id),
+                       e.what());
+          return 1;
+        }
+        j.run = make_run_config(m->run, j.corpus);
+        jobs.insert_or_assign(m->job, std::move(j));
         break;
       }
       case MsgType::kLeaseGrant: {
@@ -297,18 +292,24 @@ int run_worker(const WorkerOptions& opts) {
         if (!ch.send(MsgType::kLeaseResult, encode(res))) return 1;
         break;
       }
-      case MsgType::kIdle:
-        break;
       case MsgType::kShutdown: {
         GoodbyeMsg bye;
         if (!opts.metrics_out.empty()) {
           obs::RunInfo info;
           info.tool = opts.tool;
-          info.corpus = cfg->corpus_kind == CorpusKind::kManifest
-                            ? "<manifest>"
-                            : cfg->corpus;
+          // The corpora and widest thread count of the jobs served.
+          std::set<std::string> corpora;
+          info.threads = 1;
+          for (const auto& [id, j] : jobs) {
+            corpora.insert(j.cfg.corpus_kind == CorpusKind::kManifest
+                               ? "<manifest>"
+                               : j.cfg.corpus);
+            info.threads = std::max(info.threads, j.run.threads);
+          }
+          for (const std::string& c : corpora)
+            info.corpus += (info.corpus.empty() ? "" : ",") + c;
+          if (info.corpus.empty()) info.corpus = "<none>";
           info.seed = 0;
-          info.threads = jobs.count(0) ? jobs.at(0).run.threads : 1;
           info.wall_seconds =
               std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)

@@ -18,7 +18,7 @@ struct WorkerOptions {
   std::uint16_t port = 0;
   std::uint64_t worker_id = 0;
   /// Write this worker's own run manifest here on clean shutdown (""
-  /// = off). The path travels back in Goodbye so the coordinator's
+  /// = off). The path travels back in Goodbye so the service's
   /// aggregate manifest can list its sub-manifests.
   std::string metrics_out;
   /// RunInfo.tool recorded in the sub-manifest.

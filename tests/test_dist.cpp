@@ -12,7 +12,6 @@
 
 #include "core/experiments.hpp"
 #include "core/splice_sim.hpp"
-#include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "dist/lease.hpp"
 #include "dist/protocol.hpp"
@@ -59,6 +58,19 @@ TEST(DistFrame, HeaderCorruptionIsUnrecoverable) {
   wire[0] ^= 0xff;  // magic
   MsgType type{};
   std::uint32_t seq = 0, len = 0;
+  EXPECT_FALSE(dist::decode_frame_header(wire.data(), &type, &seq, &len));
+}
+
+TEST(DistFrame, RetiredIdleTypeRejected) {
+  // Type 6 was a never-sent "idle" message; the decoder treats it as
+  // unknown, exactly like a type past the last one.
+  util::Bytes wire = dist::encode_frame(MsgType::kHeartbeat, 0, {});
+  MsgType type{};
+  std::uint32_t seq = 0, len = 0;
+  ASSERT_TRUE(dist::decode_frame_header(wire.data(), &type, &seq, &len));
+  wire[5] = dist::kRetiredType;
+  EXPECT_FALSE(dist::decode_frame_header(wire.data(), &type, &seq, &len));
+  wire[5] = 11;
   EXPECT_FALSE(dist::decode_frame_header(wire.data(), &type, &seq, &len));
 }
 
@@ -477,7 +489,7 @@ TEST(DistJobService, ConcurrentJobsBitwiseEqualOracles) {
     ASSERT_TRUE(id.has_value());
     ids[j] = *id;
   }
-  EXPECT_EQ(ids[0], 1u);  // ids start at 1 (0 = handshake placeholder)
+  EXPECT_EQ(ids[0], 1u);  // ids start at 1
 
   int rcs[3] = {-1, -1, -1};
   std::thread workers[3];
@@ -594,6 +606,41 @@ TEST(DistJobService, CancelMidFlightLeavesSurvivorIntact) {
   svc.drain();
   w.join();
   EXPECT_EQ(rc, 0);
+}
+
+/// A dead fleet must not hang a waiting caller: with no worker ever
+/// connecting, the idle-abort timer ends the job as aborted, and the
+/// manifest member says so (the `splice --serve` exit-1 path).
+TEST(DistJobService, DeadFleetAbortsIdleJob) {
+  dist::register_dist_metrics();
+  dist::ServiceConfig sc;
+  sc.idle_abort_ms = 300;
+  dist::JobService svc(sc);
+  const auto id = svc.submit(profile_job("orphan", 0.04));
+  ASSERT_TRUE(id.has_value());
+
+  const dist::JobReport rep = svc.wait(*id);
+  EXPECT_EQ(rep.state, dist::JobState::kAborted);
+  EXPECT_FALSE(rep.report.complete);
+  EXPECT_NE(svc.jobs_json().find("\"state\": \"aborted\""),
+            std::string::npos);
+  svc.drain();
+}
+
+/// A job with no files has nothing to lease: it is done on admission
+/// instead of waiting for a result that can never come.
+TEST(DistJobService, EmptyJobDoneOnAdmission) {
+  dist::register_dist_metrics();
+  dist::JobService svc(dist::ServiceConfig{});
+  dist::JobSpec spec = profile_job("empty", 0.04);
+  spec.nfiles = 0;
+  const auto id = svc.submit(spec);
+  ASSERT_TRUE(id.has_value());
+  const dist::JobReport rep = svc.wait(*id);
+  EXPECT_EQ(rep.state, dist::JobState::kDone);
+  EXPECT_TRUE(rep.report.complete);
+  EXPECT_EQ(rep.report.shards, 0u);
+  svc.drain();
 }
 
 }  // namespace

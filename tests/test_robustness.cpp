@@ -84,6 +84,33 @@ TEST(Robustness, UdpVerifierRandomGarbage) {
   }
 }
 
+// A consistent header pair whose IP total length lies about the buffer
+// must be refused before the length sizes the checksummed span: one
+// claiming more bytes than arrived, one claiming fewer than the two
+// headers.
+TEST(Robustness, UdpVerifierRejectsLyingTotalLength) {
+  const Bytes payload(32, 0x5a);
+  const Bytes good = net::build_udp_datagram(0x0a000001, 0x0a000002, 1234,
+                                             5678, ByteView(payload));
+  ASSERT_EQ(net::verify_udp_datagram(ByteView(good)),
+            net::UdpCheckResult::kValid);
+  const auto with_lengths = [&](std::uint16_t total) {
+    Bytes d = good;
+    util::store_be16(d.data() + 2, total);
+    util::store_be16(d.data() + 24, static_cast<std::uint16_t>(total - 20));
+    return d;
+  };
+  const Bytes longer = with_lengths(static_cast<std::uint16_t>(good.size() + 64));
+  EXPECT_EQ(net::verify_udp_datagram(ByteView(longer)),
+            net::UdpCheckResult::kInvalid);
+  for (const std::uint16_t total : {0, 10, 19, 20, 27}) {
+    const Bytes shorter = with_lengths(total);
+    EXPECT_EQ(net::verify_udp_datagram(ByteView(shorter)),
+              net::UdpCheckResult::kInvalid)
+        << "total_length " << total;
+  }
+}
+
 TEST(Robustness, CellParserRejectsBadHec) {
   util::Rng rng(7);
   int accepted = 0;

@@ -6,10 +6,10 @@
 //                                  invariant violation
 //   faultlab replay --seed S --scenario N [options]
 //                                  re-run exactly one scenario
-//   faultlab distkill [options]    distributed-run fault drill: spawn a
-//                                  coordinator + N workers, SIGKILL one
-//                                  worker mid-lease, and assert the
-//                                  merged report still equals the
+//   faultlab distkill [options]    distributed-run fault drill: serve
+//                                  --jobs jobs on N workers, SIGKILL one
+//                                  worker mid-lease, and assert every
+//                                  merged report still equals its
 //                                  single-process run bit for bit
 //   faultlab arq [options]         ARQ frontier: run every (policy,
 //                                  checksum) pair across a fault-rate
@@ -59,7 +59,6 @@
 #include "checksum/kernels/kernel.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
-#include "dist/coordinator.hpp"
 #include "dist/service.hpp"
 #include "dist/spawn.hpp"
 #include "dist/worker.hpp"
@@ -797,8 +796,8 @@ int cmd_storage(const StorageOpts& o, std::string* extra_rows) {
 }
 
 /// Hidden subcommand: one worker process of a distkill drill (also
-/// usable against a `cksumlab splice --serve` coordinator — both
-/// drivers speak the same protocol).
+/// usable against `cksumlab splice --serve` — both serve through the
+/// same JobService).
 int cmd_distworker(const std::vector<std::string>& args) {
   dist::WorkerOptions w;
   w.tool = "faultlab distworker";
@@ -825,10 +824,10 @@ int cmd_distworker(const std::vector<std::string>& args) {
   return dist::run_worker(w);
 }
 
-/// Multi-tenant drill (--jobs >= 2, docs/DIST.md failure matrix): N
-/// named jobs run concurrently on one shared pool of worker
-/// processes; one worker is SIGKILLed the moment the first result
-/// lands anywhere, and the last job is cancelled after its first
+/// The worker-loss drill (docs/DIST.md failure matrix): N named jobs
+/// run concurrently on one shared pool of worker processes; one
+/// worker is SIGKILLed the moment the first result lands anywhere,
+/// and with --jobs >= 2 the last job is cancelled after its first
 /// merged shard. Every surviving job must still merge bitwise equal
 /// to its own single-process oracle, the kill must be confirmed at
 /// reap time, and an over-limit submit must be rejected up front.
@@ -891,7 +890,9 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
     }
     ids.push_back(*id);
   }
-  const std::uint64_t victim = ids.back();
+  // The cancel leg needs a survivor beside the victim.
+  const bool cancel_leg = jobs >= 2;
+  const std::uint64_t victim = cancel_leg ? ids.back() : 0;
 
   // Admission probe: the table is full, so one more submit must be
   // rejected (observable as dist.jobs_rejected).
@@ -952,14 +953,17 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
   // Cancel the victim from this thread (the hook runs inside the
   // service loop) once one of its shards has merged — mid-flight by
   // construction unless the job already raced to done.
-  while (!victim_started.load() &&
-         svc.status(victim)->state == dist::JobState::kRunning) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  bool cancelled = false;
+  if (cancel_leg) {
+    while (!victim_started.load() &&
+           svc.status(victim)->state == dist::JobState::kRunning) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    cancelled = svc.cancel(victim);
   }
-  const bool cancelled = svc.cancel(victim);
 
   bool survivors_ok = true;
-  for (unsigned j = 0; j + 1 < jobs; ++j) {
+  for (unsigned j = 0; j < (cancel_leg ? jobs - 1 : jobs); ++j) {
     const dist::JobReport rep = svc.wait(ids[j]);
     const bool ok = rep.state == dist::JobState::kDone &&
                     rep.report.complete && rep.report.stats == oracles[j];
@@ -969,11 +973,13 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
                    rep.name.c_str());
     survivors_ok = survivors_ok && ok;
   }
-  const dist::JobReport vic = svc.wait(victim);
-  const bool victim_ok =
-      cancelled ? vic.state == dist::JobState::kCancelled
-                : (vic.state == dist::JobState::kDone &&
-                   vic.report.stats == oracles[jobs - 1]);
+  bool victim_ok = true;
+  if (cancel_leg) {
+    const dist::JobReport vic = svc.wait(victim);
+    victim_ok = cancelled ? vic.state == dist::JobState::kCancelled
+                          : (vic.state == dist::JobState::kDone &&
+                             vic.report.stats == oracles[jobs - 1]);
+  }
 
   svc.drain();
   bool killed_confirmed = false;
@@ -990,9 +996,10 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
   std::printf("distkill: %u jobs on %u pooled workers\n", jobs, workers);
   std::printf("survivor jobs bitwise-equal to oracles: %s\n",
               survivors_ok ? "yes" : "NO");
-  std::printf("victim job %s: %s\n",
-              cancelled ? "cancelled mid-flight" : "raced to done",
-              victim_ok ? "ok" : "WRONG STATE");
+  if (cancel_leg)
+    std::printf("victim job %s: %s\n",
+                cancelled ? "cancelled mid-flight" : "raced to done",
+                victim_ok ? "ok" : "WRONG STATE");
   std::printf("worker killed mid-run: %s\n",
               killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
   std::printf("over-limit submit rejected: %s\n",
@@ -1027,10 +1034,7 @@ int run_multitenant_drill(unsigned workers, unsigned jobs,
              : 1;
 }
 
-/// The worker-loss drill (satellite of docs/DIST.md's failure matrix):
-/// run the reference corpus single-process, re-run it distributed with
-/// one worker SIGKILLed the moment the first lease result lands, and
-/// require the merged report to be bitwise identical anyway.
+/// `faultlab distkill`: parse the drill's options and run it.
 int cmd_distkill(const std::vector<std::string>& args) {
   unsigned workers = 3;
   unsigned jobs = 1;
@@ -1065,92 +1069,16 @@ int cmd_distkill(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (workers < 2) {
-    std::fprintf(stderr, "faultlab distkill: needs --workers >= 2\n");
+  if (workers < 2 || jobs < 1) {
+    std::fprintf(stderr,
+                 "faultlab distkill: needs --workers >= 2 and --jobs >= 1\n");
     return 2;
   }
   faults::register_fault_metrics();
   atm::register_atm_metrics();
   alg::kern::register_kernel_metrics();
-  if (jobs >= 2)
-    return run_multitenant_drill(workers, jobs, profile, scale, shard_files,
-                                 verbose, metrics_out);
-
-  // The oracle: the same corpus evaluated in-process.
-  core::SpliceRunConfig run;
-  run.flow = core::paper_flow_config();
-  run.threads = 1;
-  const fsgen::Filesystem fs(fsgen::profile(profile), scale);
-  const core::SpliceStats expected = core::run_filesystem(run, fs);
-
-  dist::DistConfig dc;
-  dc.run.corpus_kind = dist::CorpusKind::kProfile;
-  dc.run.corpus = profile;
-  dc.run.scale = scale;
-  dc.run.threads = 1;
-  dc.nfiles = fs.file_count();
-  dc.expected_workers = workers;
-  dc.shard_files = shard_files;
-  dist::Coordinator coord(dc);
-
-  const std::string exe = dist::self_exe_path();
-  if (exe.empty()) {
-    std::fprintf(stderr, "faultlab: cannot locate own executable\n");
-    return 1;
-  }
-  std::vector<pid_t> pids;
-  for (unsigned i = 0; i < workers; ++i) {
-    const pid_t pid = dist::spawn_process(
-        {exe, "distworker", "--connect",
-         "127.0.0.1:" + std::to_string(coord.port()), "--worker-id",
-         std::to_string(i + 1), "--kernel",
-         std::string(alg::kern::active_kernel().name)});
-    if (pid < 0) {
-      std::fprintf(stderr, "faultlab: cannot spawn worker %u\n", i + 1);
-      return 1;
-    }
-    pids.push_back(pid);
-  }
-
-  // The barrier guarantees every worker holds a lease before the first
-  // result is accepted, so killing any *other* worker kills a worker
-  // mid-lease (modulo the benign race where its own result is already
-  // in flight — the epoch check makes that harmless either way).
-  pid_t killed_pid = -1;
-  auto hook = [&](const dist::DistEvent& ev) {
-    if (verbose)
-      std::fprintf(stderr, "distkill: event %d worker %llu shard %zu\n",
-                   static_cast<int>(ev.kind),
-                   static_cast<unsigned long long>(ev.worker_id), ev.shard);
-    if (ev.kind != dist::DistEvent::Kind::kResultAccepted || killed_pid != -1)
-      return;
-    for (const pid_t p : pids) {
-      if (static_cast<std::uint64_t>(p) == ev.pid) continue;
-      dist::kill_process(p);
-      killed_pid = p;
-      std::fprintf(stderr, "distkill: SIGKILLed worker pid %d after first "
-                           "accepted result\n",
-                   static_cast<int>(p));
-      break;
-    }
-  };
-  const dist::DistReport rep = coord.run(hook);
-  bool killed_confirmed = false;
-  for (const pid_t p : pids) {
-    const int code = dist::wait_process(p);
-    if (p == killed_pid && code == 128 + 9) killed_confirmed = true;
-  }
-
-  const bool identical = rep.stats == expected;
-  std::printf("distkill: %u workers, %zu shards, %zu reassigned, "
-              "%zu stale results\n",
-              workers, rep.shards, rep.reassigned, rep.stale_results);
-  std::printf("worker killed mid-run: %s\n",
-              killed_confirmed ? "yes (SIGKILL confirmed)" : "NO");
-  std::printf("run complete: %s\n", rep.complete ? "yes" : "NO");
-  std::printf("merged report identical to single-process run: %s\n",
-              identical ? "yes" : "NO");
-  return (rep.complete && identical && killed_confirmed) ? 0 : 1;
+  return run_multitenant_drill(workers, jobs, profile, scale, shard_files,
+                               verbose, metrics_out);
 }
 
 }  // namespace
