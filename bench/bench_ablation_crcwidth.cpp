@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "checksum/crc32.hpp"
 #include "checksum/generic_crc.hpp"
 #include "core/experiments.hpp"
 #include "core/report.hpp"
@@ -29,8 +30,7 @@ struct WidthResult {
 /// granularity.
 WidthResult run_width(const alg::GenericCrc& g, const fsgen::Filesystem& fs) {
   const net::FlowConfig flow = core::paper_flow_config();
-  const auto c48 = g.combiner(48);
-  const auto c44 = g.combiner(44);
+  const alg::CrcCombiner c48(g, 48), c44(g, 44);
   WidthResult out;
 
   for (std::size_t f = 0; f < fs.file_count(); ++f) {

@@ -1,6 +1,9 @@
 // §2's performance claim: "measurements have typically shown the TCP
 // checksum to be two to four times faster [than Fletcher]", with CRC
-// slower still. google-benchmark over the algorithm engines.
+// slower still. google-benchmark over the kernel registry: one
+// BM_Kernel_<alg>_<kernel> row per algorithm and formulation tier (the
+// deferred-reduction point of Nakassis is fletcher255 scalar against
+// slicing), plus the splice simulator's two hot operations.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -27,81 +30,6 @@ Bytes make_buffer(std::size_t n) {
 const Bytes& buffer() {
   static const Bytes b = make_buffer(64 * 1024);
   return b;
-}
-
-void BM_InternetChecksum(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::internet_sum(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_InternetChecksumWide(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::internet_sum_wide(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Fletcher255(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        cksum::alg::fletcher_block(data, cksum::alg::FletcherMod::kOnes255));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Fletcher256(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        cksum::alg::fletcher_block(data, cksum::alg::FletcherMod::kTwos256));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Fletcher255Naive(benchmark::State& state) {
-  // Per-byte modulo, the implementation Nakassis warns against.
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::fletcher_block_naive(
-        data, cksum::alg::FletcherMod::kOnes255));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Adler32(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(cksum::alg::adler32(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Crc32Bitwise(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::crc32_bitwise(0, data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Crc32Table(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::crc32_table(0, data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-
-void BM_Crc32Slice8(benchmark::State& state) {
-  const ByteView data(buffer().data(), static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(cksum::alg::crc32_slice8(0, data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
 }
 
 void BM_Crc32CellCombine(benchmark::State& state) {
@@ -190,16 +118,6 @@ void register_kernel_benchmarks() {
 
 }  // namespace
 
-// 48-byte ATM cell, 296-byte packet, 4KB page, 64KB bulk.
-BENCHMARK(BM_InternetChecksum)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_InternetChecksumWide)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Fletcher255)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Fletcher256)->Arg(48)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Fletcher255Naive)->Arg(296)->Arg(65536);
-BENCHMARK(BM_Adler32)->Arg(296)->Arg(65536);
-BENCHMARK(BM_Crc32Bitwise)->Arg(296)->Arg(4096);
-BENCHMARK(BM_Crc32Table)->Arg(296)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_Crc32Slice8)->Arg(296)->Arg(4096)->Arg(65536);
 BENCHMARK(BM_Crc32CellCombine);
 BENCHMARK(BM_SpliceEvaluatePair);
 

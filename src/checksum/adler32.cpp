@@ -1,27 +1,11 @@
 #include "checksum/adler32.hpp"
 
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::alg {
 
-namespace {
-// Largest n such that 255*n*(n+1)/2 + (n+1)*(kAdlerMod-1) < 2^32
-// (zlib's NMAX): the accumulators can run this long before reduction.
-constexpr std::size_t kNMax = 5552;
-}  // namespace
-
 std::uint32_t adler32(std::uint32_t adler, util::ByteView data) noexcept {
-  std::uint32_t a = adler & 0xffffu;
-  std::uint32_t b = (adler >> 16) & 0xffffu;
-  std::size_t i = 0;
-  while (i < data.size()) {
-    const std::size_t end = std::min(data.size(), i + kNMax);
-    for (; i < end; ++i) {
-      a += data[i];
-      b += a;
-    }
-    a %= kAdlerMod;
-    b %= kAdlerMod;
-  }
-  return (b << 16) | a;
+  return kern::adler32(adler, data);
 }
 
 std::uint32_t adler32(util::ByteView data) noexcept {

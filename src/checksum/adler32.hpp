@@ -14,7 +14,8 @@ inline constexpr std::uint32_t kAdlerMod = 65521;
 /// One-shot Adler-32 (initial value 1, per RFC 1950).
 std::uint32_t adler32(util::ByteView data) noexcept;
 
-/// Streaming continuation; pass 1 to start.
+/// Streaming continuation; pass 1 to start. Computed by the active
+/// kernel (kern::adler32).
 std::uint32_t adler32(std::uint32_t adler, util::ByteView data) noexcept;
 
 /// adler32(A ++ B) from adler32(A), adler32(B), |B|.

@@ -1,80 +1,38 @@
 #include "checksum/crc32.hpp"
 
+#include <vector>
+
+#include "checksum/generic_crc.hpp"
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::alg {
 
 namespace {
 
-struct Tables {
-  // t[0] is the classic byte table; t[1..7] extend it for slice-by-8.
-  std::uint32_t t[8][256];
-
-  constexpr Tables() : t{} {
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = n;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? (kCrc32Poly ^ (c >> 1)) : (c >> 1);
-      t[0][n] = c;
-    }
-    for (std::uint32_t n = 0; n < 256; ++n) {
-      std::uint32_t c = t[0][n];
-      for (int s = 1; s < 8; ++s) {
-        c = t[0][c & 0xffu] ^ (c >> 8);
-        t[s][n] = c;
-      }
+/// nibble[t][v] = image of the 4-bit group v at bit position 4t under
+/// the zeros operator whose rows (images of each register bit) are
+/// given. Rows past `nrows` act as zero.
+void fill_nibbles(std::uint32_t (&nibble)[8][16], const std::uint32_t* rows,
+                  std::size_t nrows) noexcept {
+  for (std::size_t t = 0; t < 8; ++t) {
+    for (std::uint32_t v = 0; v < 16; ++v) {
+      std::uint32_t out = 0;
+      for (std::size_t b = 0; b < 4; ++b)
+        if ((v >> b & 1u) != 0 && 4 * t + b < nrows) out ^= rows[4 * t + b];
+      nibble[t][v] = out;
     }
   }
-};
-
-constexpr Tables kTables{};
+}
 
 }  // namespace
 
-std::uint32_t crc32_bitwise(std::uint32_t crc, util::ByteView data) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data) {
-    c ^= byte;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? (kCrc32Poly ^ (c >> 1)) : (c >> 1);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32_table(std::uint32_t crc, util::ByteView data) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t byte : data)
-    c = kTables.t[0][(c ^ byte) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32_slice8(std::uint32_t crc, util::ByteView data) noexcept {
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  while (n >= 8) {
-    const std::uint32_t lo = c ^ (static_cast<std::uint32_t>(p[0]) |
-                                  (static_cast<std::uint32_t>(p[1]) << 8) |
-                                  (static_cast<std::uint32_t>(p[2]) << 16) |
-                                  (static_cast<std::uint32_t>(p[3]) << 24));
-    const std::uint32_t hi = static_cast<std::uint32_t>(p[4]) |
-                             (static_cast<std::uint32_t>(p[5]) << 8) |
-                             (static_cast<std::uint32_t>(p[6]) << 16) |
-                             (static_cast<std::uint32_t>(p[7]) << 24);
-    c = kTables.t[7][lo & 0xffu] ^ kTables.t[6][(lo >> 8) & 0xffu] ^
-        kTables.t[5][(lo >> 16) & 0xffu] ^ kTables.t[4][lo >> 24] ^
-        kTables.t[3][hi & 0xffu] ^ kTables.t[2][(hi >> 8) & 0xffu] ^
-        kTables.t[1][(hi >> 16) & 0xffu] ^ kTables.t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  while (n-- > 0) c = kTables.t[0][(c ^ *p++) & 0xffu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
-}
-
 std::uint32_t crc32(std::uint32_t crc, util::ByteView data) noexcept {
-  return crc32_slice8(crc, data);
+  return kern::crc32(crc, data);
 }
 
-std::uint32_t crc32(util::ByteView data) noexcept { return crc32(0, data); }
+std::uint32_t crc32(util::ByteView data) noexcept {
+  return kern::crc32(0, data);
+}
 
 Gf2Matrix Gf2Matrix::zero_byte_operator() noexcept {
   // Operator for one zero *bit*, squared three times -> one zero byte.
@@ -122,15 +80,12 @@ std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
 
 CrcCombiner::CrcCombiner(std::size_t len_b) noexcept {
   const Gf2Matrix op = Gf2Matrix::zeros_operator(len_b);
-  for (int t = 0; t < 8; ++t) {
-    for (std::uint32_t nib = 0; nib < 16; ++nib) {
-      std::uint32_t v = 0;
-      for (int b = 0; b < 4; ++b)
-        if (nib & (1u << b))
-          v ^= op.rows_[static_cast<std::size_t>(4 * t + b)];
-      nibble_[static_cast<std::size_t>(t)][nib] = v;
-    }
-  }
+  fill_nibbles(nibble_, op.rows_.data(), op.rows_.size());
+}
+
+CrcCombiner::CrcCombiner(const GenericCrc& crc, std::size_t len_b) {
+  const std::vector<std::uint32_t> rows = crc.zeros_rows(len_b);
+  fill_nibbles(nibble_, rows.data(), rows.size());
 }
 
 }  // namespace cksum::alg

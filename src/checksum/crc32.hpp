@@ -3,11 +3,12 @@
 // XOR = 0xFFFFFFFF — the exact CRC used by the AAL5 CPCS trailer the
 // paper's splice simulator checks.
 //
-// Three engines are provided (bitwise reference, byte-table, and
-// slice-by-8) plus an O(log n) `crc32_combine` in GF(2) and a
-// precomputed fixed-length combiner used by the splice simulator to
-// evaluate the CRC of a splice from per-cell CRCs in a handful of
-// 32x32 bit-matrix products.
+// The bulk computation is the kernel registry's (kernels/kernel.hpp):
+// crc32() runs whichever CRC-32 tier is selected. This header adds the
+// GF(2) algebra on top: an O(log n) `crc32_combine` and a precomputed
+// fixed-length combiner used by the splice simulator to evaluate the
+// CRC of a splice from per-cell CRCs in a handful of 32x32 bit-matrix
+// products.
 #pragma once
 
 #include <array>
@@ -17,6 +18,8 @@
 
 namespace cksum::alg {
 
+class GenericCrc;
+
 /// Reflected IEEE CRC-32 polynomial.
 inline constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;
 
@@ -25,21 +28,13 @@ inline constexpr std::uint32_t kCrc32Poly = 0xEDB88320u;
 /// standard pre/post conditioning yields this constant.
 inline constexpr std::uint32_t kCrc32Residue = 0xC704DD7Bu;
 
-/// Full conventional CRC-32 of a buffer (init/xorout = all ones).
+/// Full conventional CRC-32 of a buffer (init/xorout = all ones),
+/// computed by the active kernel (kern::crc32).
 std::uint32_t crc32(util::ByteView data) noexcept;
 
 /// Streaming form: continue a CRC. `crc` is a *finalised* CRC value
 /// (as returned by crc32()); pass 0 to start. Mirrors zlib semantics.
 std::uint32_t crc32(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Bitwise reference implementation (for tests).
-std::uint32_t crc32_bitwise(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Byte-at-a-time table implementation.
-std::uint32_t crc32_table(std::uint32_t crc, util::ByteView data) noexcept;
-
-/// Slice-by-8 implementation (fast path; used by crc32()).
-std::uint32_t crc32_slice8(std::uint32_t crc, util::ByteView data) noexcept;
 
 /// crc32(A ++ B) from crc32(A), crc32(B) and |B| — zlib-style GF(2)
 /// matrix combination, O(log |B|).
@@ -72,6 +67,11 @@ class Gf2Matrix {
 class CrcCombiner {
  public:
   explicit CrcCombiner(std::size_t len_b) noexcept;
+
+  /// The same combiner for a GenericCrc of any width (the CRC-width
+  /// ablation folds w-bit cell CRCs with it). Rows past the register
+  /// width are zero, so every in-range value maps correctly.
+  CrcCombiner(const GenericCrc& crc, std::size_t len_b);
 
   /// Advance a finalised CRC through |B| zero bytes — the linear map
   /// underlying combine(). Exposed separately because the splice DFS

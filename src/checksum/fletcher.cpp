@@ -1,50 +1,16 @@
 #include "checksum/fletcher.hpp"
 
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::alg {
 
-namespace {
-
-constexpr std::size_t kReduceChunk = 1 << 14;  // keep 64-bit accs far from overflow
-
-constexpr std::uint32_t reduce(std::uint64_t v, FletcherMod mod) noexcept {
-  return static_cast<std::uint32_t>(v % modulus(mod));
-}
-
-}  // namespace
-
 FletcherPair fletcher_block(util::ByteView data, FletcherMod mod) noexcept {
-  FletcherSum s(mod);
-  s.update(data);
-  return s.pair();
-}
-
-FletcherPair fletcher_block_naive(util::ByteView data,
-                                  FletcherMod mod) noexcept {
-  const std::uint32_t m = modulus(mod);
-  std::uint32_t a = 0, b = 0;
-  for (std::uint8_t byte : data) {
-    a = (a + byte) % m;
-    b = (b + a) % m;
-  }
-  return {a, b};
+  return kern::fletcher_block(data, mod);
 }
 
 void FletcherSum::update(util::ByteView data) noexcept {
-  const std::uint64_t m = modulus(mod_);
-  std::size_t i = 0;
-  while (i < data.size()) {
-    const std::size_t end = std::min(data.size(), i + kReduceChunk);
-    for (; i < end; ++i) {
-      a_ += data[i];
-      b_ += a_;
-    }
-    a_ %= m;
-    b_ %= m;
-  }
-}
-
-FletcherPair FletcherSum::pair() const noexcept {
-  return {reduce(a_, mod_), reduce(b_, mod_)};
+  pair_ = fletcher_combine(pair_, kern::fletcher_block(data, mod_),
+                           data.size(), mod_);
 }
 
 FletcherPair fletcher_combine(FletcherPair x, FletcherPair y,

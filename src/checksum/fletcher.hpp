@@ -45,15 +45,9 @@ constexpr std::uint16_t fletcher_value(FletcherPair p) noexcept {
 }
 
 /// Compute (A, B) over a block, end-weighted within the block
-/// (i.e. the block's last byte has weight 1).
+/// (i.e. the block's last byte has weight 1), with the active kernel
+/// (kern::fletcher_block).
 FletcherPair fletcher_block(util::ByteView data, FletcherMod mod) noexcept;
-
-/// Textbook per-byte-modulo implementation. Identical results to
-/// fletcher_block(); kept as the baseline for the implementation-
-/// efficiency point of Nakassis and Sklower (the paper's [6], [11]):
-/// deferring the reduction is worth several-fold in throughput.
-FletcherPair fletcher_block_naive(util::ByteView data,
-                                  FletcherMod mod) noexcept;
 
 /// Sums of the concatenation X ++ Y from the blocks' own sums.
 /// Every byte of X gains |Y| extra weight in the B term.
@@ -65,19 +59,19 @@ FletcherPair fletcher_combine(FletcherPair x, FletcherPair y,
 FletcherPair fletcher_shift(FletcherPair x, std::size_t tail_len,
                             FletcherMod mod) noexcept;
 
-/// Incremental whole-message computation (A += d; B += A).
+/// Incremental whole-message computation (A += d; B += A): each chunk
+/// is summed by the active kernel and appended with fletcher_combine.
 class FletcherSum {
  public:
   explicit FletcherSum(FletcherMod mod) noexcept : mod_(mod) {}
 
   void update(util::ByteView data) noexcept;
-  FletcherPair pair() const noexcept;
-  void reset() noexcept { a_ = b_ = 0; }
+  FletcherPair pair() const noexcept { return pair_; }
+  void reset() noexcept { pair_ = {}; }
 
  private:
   FletcherMod mod_;
-  std::uint64_t a_ = 0;
-  std::uint64_t b_ = 0;
+  FletcherPair pair_;
 };
 
 /// Solve for the two check bytes X, Y to be stored at message indices

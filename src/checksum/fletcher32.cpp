@@ -1,34 +1,15 @@
 #include "checksum/fletcher32.hpp"
 
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::alg {
 
 namespace {
 constexpr std::uint64_t kMod = 65535;
-// Word count before the deferred 64-bit accumulators could overflow:
-// B grows as ~65535·n²/2, so reduce every 2^20 words (B < 2^57).
-constexpr std::size_t kReduceWords = 1u << 20;
 }  // namespace
 
 Fletcher32Pair fletcher32_block(util::ByteView data) noexcept {
-  std::uint64_t a = 0, b = 0;
-  std::size_t i = 0;
-  std::size_t words_since_reduce = 0;
-  while (i < data.size()) {
-    const std::uint32_t word =
-        i + 1 < data.size()
-            ? static_cast<std::uint32_t>((data[i] << 8) | data[i + 1])
-            : static_cast<std::uint32_t>(data[i] << 8);
-    a += word;
-    b += a;
-    i += 2;
-    if (++words_since_reduce == kReduceWords) {
-      a %= kMod;
-      b %= kMod;
-      words_since_reduce = 0;
-    }
-  }
-  return {static_cast<std::uint32_t>(a % kMod),
-          static_cast<std::uint32_t>(b % kMod)};
+  return kern::fletcher32_block(data);
 }
 
 Fletcher32Pair fletcher32_combine(Fletcher32Pair x, Fletcher32Pair y,

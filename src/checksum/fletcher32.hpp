@@ -29,7 +29,7 @@ constexpr std::uint32_t fletcher32_value(Fletcher32Pair p) noexcept {
 }
 
 /// (A, B) over a block, end-weighted in 16-bit words within the block
-/// (last word weight 1).
+/// (last word weight 1), with the active kernel (kern::fletcher32_block).
 Fletcher32Pair fletcher32_block(util::ByteView data) noexcept;
 
 /// Sums of X ++ Y from block sums; `y_len_words` = number of 16-bit

@@ -32,31 +32,6 @@ GenericCrc::GenericCrc(int width, std::uint32_t poly_normal)
   }
 }
 
-GenericCrc::Combiner::Combiner(const std::vector<std::uint32_t>& rows) {
-  // nibble_[t][v] = image of the 4-bit group v at bit position 4t
-  // under the zeros-operator. Rows past the register width act as 0,
-  // so narrow widths fill the high tables with zeros and any (in-range)
-  // CRC value maps correctly.
-  for (int t = 0; t < 8; ++t) {
-    for (std::uint32_t v = 0; v < 16; ++v) {
-      std::uint32_t out = 0;
-      for (int b = 0; b < 4; ++b) {
-        const std::size_t row = static_cast<std::size_t>(4 * t + b);
-        if ((v >> b & 1u) != 0 && row < rows.size()) out ^= rows[row];
-      }
-      nibble_[t][v] = out;
-    }
-  }
-}
-
-const GenericCrc::Combiner& CombinerCache::get(std::size_t len_b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = memo_.find(len_b);
-  if (it == memo_.end())
-    it = memo_.emplace(len_b, crc_->combiner(len_b)).first;
-  return it->second;
-}
-
 std::uint32_t GenericCrc::update(std::uint32_t crc,
                                  util::ByteView data) const noexcept {
   std::uint32_t c = (crc ^ mask_) & mask_;

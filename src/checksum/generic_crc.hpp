@@ -14,8 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <vector>
 
 #include "util/bytes.hpp"
@@ -59,71 +57,27 @@ class GenericCrc {
   std::uint32_t combine(std::uint32_t crc_a, std::uint32_t crc_b,
                         std::size_t len_b) const noexcept;
 
-  /// Reusable fixed-length combiner for hot loops that repeatedly
-  /// append blocks of one size. The zeros-operator matrix is flattened
-  /// into nibble lookup tables (8 tables x 16 entries), same as the
-  /// dedicated CRC-32 CrcCombiner: one combine costs 8 loads/XORs
-  /// instead of a width-long row scan.
-  class Combiner {
-   public:
-    /// Advance a finalised CRC through len_b zero bytes (the linear
-    /// part of combine; advance(a ^ b) == advance(a) ^ advance(b)).
-    std::uint32_t advance(std::uint32_t crc) const noexcept {
-      std::uint32_t out = 0;
-      for (int t = 0; t < 8; ++t)
-        out ^= nibble_[static_cast<std::size_t>(t)][(crc >> (4 * t)) & 0xfu];
-      return out;
-    }
-
-    std::uint32_t combine(std::uint32_t crc_a,
-                          std::uint32_t crc_b) const noexcept {
-      return advance(crc_a) ^ crc_b;
-    }
-
-   private:
-    friend class GenericCrc;
-    explicit Combiner(const std::vector<std::uint32_t>& rows);
-    std::uint32_t nibble_[8][16];
-  };
-
-  Combiner combiner(std::size_t len_b) const { return Combiner(zeros_rows(len_b)); }
+  /// The operator advancing the register through `len` zero bytes, as
+  /// `width()` rows (row i = image of register bit i). CrcCombiner
+  /// flattens it into nibble tables for hot fixed-length loops.
+  std::vector<std::uint32_t> zeros_rows(std::size_t len) const noexcept;
 
   /// Number of distinct CRC values (2^width) as a double, for
   /// expected-miss-rate computations.
   double value_space() const noexcept;
 
   /// The byte-at-a-time lookup table (reflected form). Exposed so the
-  /// kernel registry can derive its slice-by-8 tables from this
-  /// engine's generation instead of duplicating it.
+  /// kernel registry's CRC-32 tables (the scalar byte walk and
+  /// slice-by-8) derive from this engine instead of duplicating it.
   const std::array<std::uint32_t, 256>& byte_table() const noexcept {
     return table_;
   }
 
  private:
-  std::vector<std::uint32_t> zeros_rows(std::size_t len) const noexcept;
-
   int width_;
   std::uint32_t poly_;  // reflected form
   std::uint32_t mask_;
   std::array<std::uint32_t, 256> table_{};
-};
-
-/// Thread-safe memo of fixed-length Combiners for one engine. Callers
-/// that fold blocks of a whole family of lengths — e.g. the splice
-/// evaluator advancing cell CRCs by every suffix length 44 + 48*d, or
-/// a k-sweep reusing one combiner per substitution length — build each
-/// zeros-operator once instead of per use.
-class CombinerCache {
- public:
-  explicit CombinerCache(const GenericCrc& crc) : crc_(&crc) {}
-
-  /// The combiner advancing by `len_b` zero bytes (built on first use).
-  const GenericCrc::Combiner& get(std::size_t len_b);
-
- private:
-  const GenericCrc* crc_;
-  std::mutex mu_;
-  std::map<std::size_t, GenericCrc::Combiner> memo_;
 };
 
 /// A small catalogue of standard generator polynomials by width, used

@@ -49,8 +49,10 @@ constexpr std::uint16_t ones_swap(std::uint16_t a) noexcept {
 /// Incremental ones-complement summation.
 ///
 /// Feed arbitrary chunks via update(); the object tracks byte parity so
-/// odd-length chunks compose correctly. fold() returns the running
-/// 16-bit sum (not inverted).
+/// odd-length chunks compose correctly. Each chunk is summed by the
+/// active kernel (kern::internet_sum) and folded in with the RFC 1071
+/// odd-offset swap rule. fold() returns the running 16-bit sum (not
+/// inverted).
 class InternetSum {
  public:
   /// Add a chunk of message bytes.
@@ -83,15 +85,9 @@ class InternetSum {
   bool odd_ = false;
 };
 
-/// One-shot ones-complement sum of a buffer (not inverted).
+/// One-shot ones-complement sum of a buffer (not inverted), computed
+/// by the active kernel (kern::internet_sum).
 std::uint16_t internet_sum(util::ByteView data) noexcept;
-
-/// Wide-word implementation: folds 8 input bytes per 64-bit addition,
-/// the "one or two additions per machine word" §2 of the paper credits
-/// for the TCP checksum's speed. Bit-identical to internet_sum();
-/// exposed separately so the speed bench can compare and the tests can
-/// cross-check.
-std::uint16_t internet_sum_wide(util::ByteView data) noexcept;
 
 /// One-shot checksum field value: ~internet_sum(data).
 inline std::uint16_t internet_checksum(util::ByteView data) noexcept {

@@ -69,8 +69,9 @@ std::uint32_t clmul_crc32(std::uint32_t crc, util::ByteView data) noexcept;
 const char* clmul_unavailable() noexcept;
 
 /// Slice-by-8 CRC-32 lookup tables. t[0] is the byte table taken from
-/// GenericCrc(32, standard_poly(32)); t[1..7] are the shifted tables
-/// the slicing loop combines eight-at-a-time.
+/// GenericCrc(32, standard_poly(32)), which the scalar tier walks
+/// byte-at-a-time; t[1..7] are the shifted tables the slicing loop
+/// combines eight-at-a-time.
 struct CrcSliceTables {
   std::uint32_t t[8][256];
 };

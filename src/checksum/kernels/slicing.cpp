@@ -29,7 +29,7 @@ namespace cksum::alg::kern::impl {
 namespace {
 
 /// Bytes between Fletcher reductions: A stays below 2^22 and B below
-/// 2^37 in the 64-bit accumulators (same bound as alg::FletcherSum).
+/// 2^37 in the 64-bit accumulators.
 constexpr std::size_t kFletcherChunk = std::size_t{1} << 14;
 
 /// 16-bit words between Fletcher-32 reductions: A < 2^31, B < 2^45.

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "checksum/kernels/kernel.hpp"
+
 namespace cksum::alg {
 
 namespace {
@@ -19,6 +21,27 @@ void dual_step(std::uint32_t& a, std::uint32_t& b, std::uint64_t v) noexcept {
   a = static_cast<std::uint32_t>(
       (a + v % kKoopmanDualMod) % kKoopmanDualMod);
   b = (b + a) % kKoopmanDualMod;
+}
+
+/// Feed `data` through a partial-block buffer: complete the buffered
+/// block first, hand the block-aligned middle to `blocks` in one call,
+/// and keep the remainder (< 8 bytes) pending for the next update.
+template <typename Blocks>
+void feed_blocks(std::uint8_t (&pending)[kKoopmanBlockBytes],
+                 std::size_t& npending, util::ByteView data,
+                 Blocks blocks) noexcept {
+  std::size_t i = 0;
+  if (npending > 0) {
+    while (npending < kKoopmanBlockBytes && i < data.size())
+      pending[npending++] = data[i++];
+    if (npending < kKoopmanBlockBytes) return;
+    blocks(util::ByteView(pending, kKoopmanBlockBytes));
+    npending = 0;
+  }
+  const std::size_t whole =
+      (data.size() - i) / kKoopmanBlockBytes * kKoopmanBlockBytes;
+  if (whole > 0) blocks(data.subspan(i, whole));
+  for (i += whole; i < data.size(); ++i) pending[npending++] = data[i];
 }
 
 }  // namespace
@@ -65,52 +88,34 @@ std::uint64_t koopman_single_combine(std::uint64_t x,
 }
 
 void KoopmanDualSum::update(util::ByteView data) noexcept {
-  std::size_t i = 0;
-  if (npending_ > 0) {
-    while (npending_ < kKoopmanBlockBytes && i < data.size())
-      pending_[npending_++] = data[i++];
-    if (npending_ < kKoopmanBlockBytes) return;
-    dual_step(a_, b_, util::load_be64(pending_));
-    npending_ = 0;
-  }
-  for (; i + kKoopmanBlockBytes <= data.size(); i += kKoopmanBlockBytes)
-    dual_step(a_, b_, util::load_be64(data.data() + i));
-  while (i < data.size()) pending_[npending_++] = data[i++];
+  feed_blocks(pending_, npending_, data, [this](util::ByteView blocks) {
+    sum_ = koopman_dual_combine(sum_, kern::koopman_dual(blocks),
+                                blocks.size() / kKoopmanBlockBytes);
+  });
 }
 
 KoopmanDualPair KoopmanDualSum::pair() const noexcept {
-  std::uint32_t a = a_, b = b_;
-  if (npending_ > 0) dual_step(a, b, block_value(pending_, npending_));
-  return {a, b};
+  // The pending partial block is zero-padded: koopman_block_count is 1
+  // for it, and 0 (an identity combine) when nothing is pending.
+  return koopman_dual_combine(
+      sum_, koopman_dual_naive(util::ByteView(pending_, npending_)),
+      koopman_block_count(npending_));
 }
 
 void KoopmanDualSum::reset() noexcept {
-  a_ = b_ = 0;
+  sum_ = {};
   npending_ = 0;
 }
 
 void KoopmanSingleSum::update(util::ByteView data) noexcept {
-  std::size_t i = 0;
-  if (npending_ > 0) {
-    while (npending_ < kKoopmanBlockBytes && i < data.size())
-      pending_[npending_++] = data[i++];
-    if (npending_ < kKoopmanBlockBytes) return;
-    sum_ = (sum_ + util::load_be64(pending_) % kKoopmanSingleMod) %
-           kKoopmanSingleMod;
-    npending_ = 0;
-  }
-  for (; i + kKoopmanBlockBytes <= data.size(); i += kKoopmanBlockBytes)
-    sum_ = (sum_ + util::load_be64(data.data() + i) % kKoopmanSingleMod) %
-           kKoopmanSingleMod;
-  while (i < data.size()) pending_[npending_++] = data[i++];
+  feed_blocks(pending_, npending_, data, [this](util::ByteView blocks) {
+    sum_ = koopman_single_combine(sum_, kern::koopman_single(blocks));
+  });
 }
 
 std::uint64_t KoopmanSingleSum::value() const noexcept {
-  std::uint64_t s = sum_;
-  if (npending_ > 0)
-    s = (s + block_value(pending_, npending_) % kKoopmanSingleMod) %
-        kKoopmanSingleMod;
-  return s;
+  return koopman_single_combine(
+      sum_, koopman_single_naive(util::ByteView(pending_, npending_)));
 }
 
 void KoopmanSingleSum::reset() noexcept {

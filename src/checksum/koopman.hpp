@@ -99,7 +99,9 @@ std::uint64_t koopman_single_combine(std::uint64_t x,
 
 /// Incremental dual sum over arbitrary chunk boundaries: up to 7
 /// partial-block bytes are buffered between updates, so pair() always
-/// reflects the whole-message (zero-padded) result.
+/// reflects the whole-message (zero-padded) result. The block-aligned
+/// part of each update runs on the active kernel (kern::koopman_dual)
+/// and is appended with koopman_dual_combine.
 class KoopmanDualSum {
  public:
   void update(util::ByteView data) noexcept;
@@ -108,13 +110,13 @@ class KoopmanDualSum {
   void reset() noexcept;
 
  private:
-  std::uint32_t a_ = 0;
-  std::uint32_t b_ = 0;
+  KoopmanDualPair sum_;
   std::uint8_t pending_[kKoopmanBlockBytes] = {};
   std::size_t npending_ = 0;
 };
 
-/// Incremental single sum with the same partial-block buffering.
+/// Incremental single sum with the same partial-block buffering, on
+/// kern::koopman_single.
 class KoopmanSingleSum {
  public:
   void update(util::ByteView data) noexcept;

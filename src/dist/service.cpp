@@ -170,6 +170,19 @@ struct SJob {
   }
 };
 
+namespace {
+
+/// The job's roster entry for a worker, added with no shards and no
+/// metrics on first sight.
+DistReport::WorkerInfo& roster_entry(SJob& j, const SConn& c) {
+  for (auto& w : j.rep.report.workers)
+    if (w.worker_id == c.worker_id) return w;
+  j.rep.report.workers.push_back({c.worker_id, c.pid, 0, false, "", {}});
+  return j.rep.report.workers.back();
+}
+
+}  // namespace
+
 struct JobService::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;
@@ -188,6 +201,16 @@ struct JobService::Impl {
   std::uint64_t shutdown_deadline = 0;
   bool stop = false;
   ServiceMetrics met;
+
+  /// Put every configured worker on every running job's roster: a job
+  /// lists every worker configured while it ran. Called after each
+  /// admission and each worker handshake.
+  void enroll_configured() {
+    for (auto& [id, j] : jobs)
+      if (j.rep.state == JobState::kRunning)
+        for (const auto& c : conns)
+          if (c->configured) roster_entry(j, *c);
+  }
 };
 
 JobService::JobService(ServiceConfig cfg) : cfg_(std::move(cfg)) {
@@ -267,6 +290,8 @@ std::optional<std::uint64_t> JobService::submit(const JobSpec& spec) {
     j.rep.state = JobState::kDone;
     j.rep.report.complete = true;
     impl_->met.jobs_completed.add(1);
+  } else {
+    impl_->enroll_configured();
   }
   lk.unlock();
   const char b = 1;
@@ -409,13 +434,6 @@ void JobService::loop() {
     }
     if (c.configured) im.configured--;
     im.conns.erase(im.conns.begin() + static_cast<std::ptrdiff_t>(i));
-  };
-
-  auto worker_info = [&](SJob& j, const SConn& c) -> DistReport::WorkerInfo& {
-    for (auto& w : j.rep.report.workers)
-      if (w.worker_id == c.worker_id) return w;
-    j.rep.report.workers.push_back({c.worker_id, c.pid, 0, false, "", {}});
-    return j.rep.report.workers.back();
   };
 
   auto finish_job = [&](SJob& j) {
@@ -579,6 +597,7 @@ void JobService::loop() {
           enqueue(c, MsgType::kConfig, encode(ConfigMsg{}));
           c.configured = true;
           im.configured++;
+          im.enroll_configured();
           im.met.connected.add(1);
           emit(ServiceEvent::Kind::kWorkerConnected, c, 0, 0);
           if (im.draining && im.shutdown_sent) {
@@ -620,7 +639,7 @@ void JobService::loop() {
               j.table.deliver(m->shard, m->epoch, c.worker_id);
           if (out == DeliverOutcome::kAccepted) {
             j.rep.report.stats.merge(m->stats);
-            DistReport::WorkerInfo& w = worker_info(j, c);
+            DistReport::WorkerInfo& w = roster_entry(j, c);
             w.shards_accepted++;
             obs::Registry& reg = obs::Registry::global();
             for (const obs::CounterDelta& d : m->deltas) {

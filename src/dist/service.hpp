@@ -84,6 +84,9 @@ struct DistReport {
     /// embeds (checked by scripts/check_manifest.py --require-dist).
     std::map<std::string, std::uint64_t> metrics;
   };
+  /// Every worker configured while the job ran, in arrival order —
+  /// including workers that held none of its shards (shards 0, empty
+  /// metrics).
   std::vector<WorkerInfo> workers;
 
   /// The manifest's "dist" member (without the surrounding key), e.g.

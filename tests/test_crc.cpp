@@ -5,6 +5,7 @@
 
 #include "checksum/crc32.hpp"
 #include "checksum/generic_crc.hpp"
+#include "checksum/kernels/kernel.hpp"
 #include "util/rng.hpp"
 
 namespace cksum::alg {
@@ -33,23 +34,35 @@ TEST(Crc32, KnownVectors) {
             0x414FA339u);
 }
 
+// The CRC-32 engines: GenericCrc's bitwise loop as the reference, the
+// scalar kernel's byte-table walk, slicing-by-8, and crc32() itself
+// (whichever kernel is active).
+std::uint32_t bitwise_crc32(std::uint32_t crc, ByteView data) {
+  return GenericCrc(32, standard_poly(32)).update_bitwise(crc, data);
+}
+
 TEST(Crc32, EnginesAgree) {
+  const kern::Kernel& slicing = *kern::find_kernel("slicing");
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const Bytes data = random_bytes(seed, 1 + seed * 97);
-    const auto reference = crc32_bitwise(0, ByteView(data));
-    EXPECT_EQ(crc32_table(0, ByteView(data)), reference);
-    EXPECT_EQ(crc32_slice8(0, ByteView(data)), reference);
+    const auto reference = bitwise_crc32(0, ByteView(data));
+    EXPECT_EQ(kern::scalar_kernel().crc32(0, ByteView(data)), reference);
+    EXPECT_EQ(slicing.crc32(0, ByteView(data)), reference);
+    EXPECT_EQ(crc32(0, ByteView(data)), reference);
   }
 }
 
 TEST(Crc32, EnginesAgreeWithNonzeroSeedCrc) {
+  const kern::Kernel& slicing = *kern::find_kernel("slicing");
   const Bytes a = random_bytes(1, 31);
   const Bytes b = random_bytes(2, 57);
   const auto seed_crc = crc32(ByteView(a));
-  EXPECT_EQ(crc32_bitwise(seed_crc, ByteView(b)),
-            crc32_table(seed_crc, ByteView(b)));
-  EXPECT_EQ(crc32_bitwise(seed_crc, ByteView(b)),
-            crc32_slice8(seed_crc, ByteView(b)));
+  EXPECT_EQ(bitwise_crc32(seed_crc, ByteView(b)),
+            kern::scalar_kernel().crc32(seed_crc, ByteView(b)));
+  EXPECT_EQ(bitwise_crc32(seed_crc, ByteView(b)),
+            slicing.crc32(seed_crc, ByteView(b)));
+  EXPECT_EQ(bitwise_crc32(seed_crc, ByteView(b)),
+            crc32(seed_crc, ByteView(b)));
 }
 
 TEST(Crc32, StreamingMatchesOneShot) {
@@ -207,13 +220,14 @@ TEST(GenericCrc, RejectsBadWidth) {
 }
 
 TEST(GenericCrc, CombinerMatchesGeneralCombine) {
-  // The nibble-table Combiner and the per-call combine must agree —
-  // for CRC-32 and a narrow width where rows past the register are 0.
+  // CrcCombiner's nibble tables built from a GenericCrc and the
+  // per-call combine must agree — for CRC-32 and a narrow width where
+  // rows past the register are 0.
   util::Rng rng(11);
   for (const std::size_t width : {32u, 16u, 8u}) {
     const GenericCrc g(width, standard_poly(width));
     for (const std::size_t len : {1u, 44u, 48u, 300u}) {
-      const GenericCrc::Combiner comb = g.combiner(len);
+      const CrcCombiner comb(g, len);
       for (int i = 0; i < 50; ++i) {
         const auto a = static_cast<std::uint32_t>(rng.next()) & g.mask();
         const auto b = static_cast<std::uint32_t>(rng.next()) & g.mask();
@@ -223,17 +237,6 @@ TEST(GenericCrc, CombinerMatchesGeneralCombine) {
       }
     }
   }
-}
-
-TEST(GenericCrc, CombinerCacheReturnsStableReferences) {
-  const GenericCrc g(32, standard_poly(32));
-  CombinerCache cache(g);
-  const GenericCrc::Combiner& c48 = cache.get(48);
-  // Populating more entries must not invalidate earlier references
-  // (the splice evaluator holds them across a whole corpus run).
-  for (std::size_t len = 1; len < 64; ++len) cache.get(len);
-  EXPECT_EQ(&c48, &cache.get(48));
-  EXPECT_EQ(c48.combine(0x1234u, 0x5678u), g.combine(0x1234u, 0x5678u, 48));
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // bitwise-deterministic in the first place.
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -454,12 +457,14 @@ core::SpliceStats profile_oracle(double scale) {
                               fsgen::Filesystem(fsgen::profile("nsc05"), scale));
 }
 
-std::thread worker_thread(std::uint16_t port, std::uint64_t id, int* rc) {
-  return std::thread([port, id, rc] {
+std::thread worker_thread(std::uint16_t port, std::uint64_t id, int* rc,
+                          std::string metrics_out = "") {
+  return std::thread([port, id, rc, metrics_out] {
     dist::WorkerOptions w;
     w.host = "127.0.0.1";
     w.port = port;
     w.worker_id = id;
+    w.metrics_out = metrics_out;
     w.tool = "cksum_tests worker";
     *rc = dist::run_worker(w);
   });
@@ -516,6 +521,56 @@ TEST(DistJobService, ConcurrentJobsBitwiseEqualOracles) {
   EXPECT_NE(js.find("\"job\": 1"), std::string::npos);
   EXPECT_NE(js.find("\"job\": 3"), std::string::npos);
   EXPECT_NE(js.find("\"state\": \"done\""), std::string::npos);
+}
+
+/// A job's roster lists every worker configured while it ran, not only
+/// the ones that held a shard: with one shard and three workers, the
+/// two idle workers still appear (no shards, no metrics) with the
+/// sub-manifest paths their Goodbyes carried.
+TEST(DistJobService, IdleWorkersStayOnTheRoster) {
+  dist::register_dist_metrics();
+  dist::ServiceConfig sc;
+  sc.expected_workers = 3;
+  sc.lease_timeout_ms = 60000;
+  dist::JobService svc(sc);
+  const auto id = svc.submit(profile_job("one-shard", 0.04, 1u << 20));
+  ASSERT_TRUE(id.has_value());
+  ASSERT_EQ(svc.status(*id)->report.shards, 1u);
+
+  std::string paths[3];
+  int rcs[3] = {-1, -1, -1};
+  std::thread workers[3];
+  for (int i = 0; i < 3; ++i) {
+    paths[i] = ::testing::TempDir() + "roster_worker" +
+               std::to_string(i + 1) + ".json";
+    workers[i] = worker_thread(svc.port(), i + 1, &rcs[i], paths[i]);
+  }
+  EXPECT_EQ(svc.wait(*id).state, dist::JobState::kDone);
+  const std::vector<dist::JobReport> all = svc.drain();
+  for (auto& t : workers) t.join();
+  for (const int rc : rcs) EXPECT_EQ(rc, 0);
+
+  ASSERT_EQ(all.size(), 1u);
+  const dist::DistReport& rep = all[0].report;
+  ASSERT_EQ(rep.workers.size(), 3u);
+  std::size_t shards = 0;
+  for (std::uint64_t wid = 1; wid <= 3; ++wid) {
+    const auto w = std::find_if(
+        rep.workers.begin(), rep.workers.end(),
+        [wid](const dist::DistReport::WorkerInfo& x) {
+          return x.worker_id == wid;
+        });
+    ASSERT_NE(w, rep.workers.end()) << "worker " << wid << " missing";
+    EXPECT_TRUE(w->clean_exit) << "worker " << wid;
+    EXPECT_EQ(w->manifest, paths[wid - 1]);
+    if (w->shards_accepted == 0) {
+      EXPECT_TRUE(w->metrics.empty()) << "worker " << wid;
+    }
+    shards += w->shards_accepted;
+  }
+  EXPECT_EQ(shards, 1u);
+  EXPECT_NE(svc.jobs_json().find("\"workers\": 3"), std::string::npos);
+  for (const std::string& p : paths) std::remove(p.c_str());
 }
 
 /// Admission control: beyond max_jobs the submit is rejected up front

@@ -231,6 +231,63 @@ TEST_P(PerKernel, InternetOddOffsetsAndTails) {
   }
 }
 
+TEST_P(PerKernel, StreamingClassesFollowSelection) {
+  // The alg:: streaming classes sum each chunk through the registry.
+  // With this kernel selected they must reproduce the scalar kernel's
+  // one-shot at every split of one message.
+  const std::string before(active_kernel().name);
+  ASSERT_TRUE(select_kernel(kernel().name));
+  const Kernel& ref = scalar_kernel();
+  const Bytes data =
+      testgen::random_bytes(testgen::kConformanceSeed ^ 129, 129);
+  const ByteView whole(data);
+  const std::uint16_t inet_whole = ref.internet_sum(whole);
+  const KoopmanDualPair kd_whole = ref.koopman_dual(whole);
+  const std::uint64_t ks_whole = ref.koopman_single(whole);
+
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    const ByteView x = whole.first(split);
+    const ByteView y = whole.subspan(split);
+    InternetSum inet;
+    inet.update(x);
+    inet.update(y);
+    EXPECT_EQ(inet.fold(), inet_whole) << "split=" << split;
+    for (const FletcherMod mod :
+         {FletcherMod::kOnes255, FletcherMod::kTwos256}) {
+      FletcherSum f(mod);
+      f.update(x);
+      f.update(y);
+      EXPECT_EQ(f.pair(), ref.fletcher(whole, mod))
+          << "split=" << split << " mod=" << modulus(mod);
+    }
+    KoopmanDualSum kd;
+    kd.update(x);
+    kd.update(y);
+    EXPECT_EQ(kd.pair(), kd_whole) << "split=" << split;
+    KoopmanSingleSum ks;
+    ks.update(x);
+    ks.update(y);
+    EXPECT_EQ(ks.value(), ks_whole) << "split=" << split;
+  }
+
+#ifndef OBS_DISABLE
+  // The bytes really ran on the selected kernel.
+  register_kernel_metrics();
+  const std::string bytes_metric = "kernel." + kernel_name() + ".bytes";
+  const auto bytes = [&]() -> std::uint64_t {
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    const obs::MetricValue* m = snap.find(bytes_metric);
+    return m != nullptr ? m->value : 0;
+  };
+  const std::uint64_t bytes_before = bytes();
+  InternetSum inet;
+  inet.update(whole);
+  EXPECT_EQ(bytes(), bytes_before + whole.size());
+#endif
+
+  ASSERT_TRUE(select_kernel(before));
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKernels, PerKernel,
                          ::testing::Range<std::size_t>(0, kernels().size()),
                          kernel_param_name);
