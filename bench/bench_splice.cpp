@@ -13,7 +13,9 @@
 // plus an end-to-end run_filesystem rate at 1 and 4 worker threads to
 // track the pair-granular scheduler, and the same corpus streamed
 // from a precomputed corpus store (BM_RunCorpusStreamed) so the
-// distill gate can hold streaming to >=0.95x the in-memory path.
+// distill gate can hold streaming to >=0.95x the in-memory path, and
+// the generation share of the in-memory path alone
+// (BM_GenerateFilesystem, bytes/sec; recorded, not gated).
 // CKSUMLAB_SCALE scales the filesystem corpus as usual.
 #include <benchmark/benchmark.h>
 
@@ -137,6 +139,24 @@ BENCHMARK(BM_RunFilesystem)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();  // workers run off the main thread
+
+/// Generating every file of the BM_RunFilesystem corpus, nothing else:
+/// the stage the corpus store lets BM_RunCorpusStreamed skip.
+void BM_GenerateFilesystem(benchmark::State& state) {
+  const fsgen::Filesystem fs(fsgen::profile("nsc05"),
+                             0.05 * core::scale_from_env());
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < fs.file_count(); ++i) {
+      const util::Bytes file = fs.file(i);
+      benchmark::DoNotOptimize(file.data());
+      bytes += file.size();
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_GenerateFilesystem)->Unit(benchmark::kMillisecond);
 
 /// Same corpus, but streamed from a sealed corpus store instead of
 /// re-packetised from the profile — the store bakes the packetise

@@ -17,7 +17,8 @@ The trajectory file is a JSON array, one entry per bench.sh run:
       "speedup_dfs_vs_reference": ...,
       "manifest": { ... },  # optional: telemetry run-manifest summary
       "kernel_throughput": {"crc32": {"scalar": ..., "slicing": ...,
-                                      "swar": ...}, ...}  # optional
+                                      "swar": ...}, ...},  # optional
+      "generate_bytes_per_sec": ...  # optional
     }
 
 A missing, empty, or whitespace-only trajectory file starts a fresh
@@ -43,6 +44,10 @@ show >=4x, the gate is looser only to absorb CI-runner noise. The
 against byte-at-a-time Fletcher-256 (want >= 1.2x on the slicing
 tier; locally ~1.8x) — rows absent from the dump skip the gate with
 a notice, matching the chorba/clmul pattern.
+
+The BM_GenerateFilesystem row (file generation alone over the
+BM_RunFilesystem corpus) is recorded as "generate_bytes_per_sec"; no
+gate reads it.
 
 The BM_RunCorpusStreamed rows (end-to-end splice run streamed from a
 sealed corpus store, see docs/CORPUS.md) ride along under the entry's
@@ -122,6 +127,9 @@ def validate_entry(entry):
             if not isinstance(s.get("hw_threads"), int):
                 problems.append("'streaming'['hw_threads'] missing or not "
                                 "an int")
+    if "generate_bytes_per_sec" in entry and not isinstance(
+            entry["generate_bytes_per_sec"], (int, float)):
+        problems.append("'generate_bytes_per_sec' present but not a number")
     if "kernel_throughput" in entry:
         kt = entry["kernel_throughput"]
         if not isinstance(kt, dict):
@@ -246,10 +254,14 @@ def main() -> int:
     pairs = {}
     streaming = {"in_memory_per_sec": {}, "streamed_per_sec": {}}
     hw_threads = None
+    generate_rate = None
     for b in raw.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
         name = b.get("name", "")
+        if name.split("/")[0] == "BM_GenerateFilesystem":
+            generate_rate = b.get("bytes_per_second")
+            continue
         key = BENCH_KEYS.get(name.split("/")[0])
         if key is not None:
             splices[key] = b.get("items_per_second")
@@ -284,6 +296,9 @@ def main() -> int:
         "speedup_dfs_vs_flat": splices["dfs"] / splices["flat"],
         "speedup_dfs_vs_reference": splices["dfs"] / splices["reference"],
     }
+
+    if generate_rate is not None:
+        entry["generate_bytes_per_sec"] = generate_rate
 
     if streaming["streamed_per_sec"] and hw_threads is not None:
         entry["streaming"] = dict(streaming, hw_threads=hw_threads)
@@ -341,6 +356,9 @@ def main() -> int:
             rates = ", ".join(f"{k} {v / 1e9:.2f} GB/s"
                               for k, v in sorted(per_kernel.items()))
             print(f"kernel {alg}: {rates}")
+    if "generate_bytes_per_sec" in entry:
+        print(f"generate:  {entry['generate_bytes_per_sec'] / 1e6:.1f} MB/s "
+              f"(nsc05 files, generation only)")
     if "streaming" in entry:
         s = entry["streaming"]
         mem1 = s["in_memory_per_sec"].get("1")

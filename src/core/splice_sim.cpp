@@ -36,7 +36,7 @@ struct SpliceMetrics {
       missed_koopman_single, dfs_nodes, leaf_evals;
   obs::Counter sched_files, sched_chunks, sched_steals;
   obs::Gauge sched_open_files;
-  obs::Histogram packetize_ns, chunk_ns;
+  obs::Histogram generate_ns, packetize_ns, chunk_ns;
 };
 
 const SpliceMetrics& smx() {
@@ -62,6 +62,7 @@ const SpliceMetrics& smx() {
     v.sched_chunks = r.counter("sched.chunks_claimed", obs::Tag::kScheduling);
     v.sched_steals = r.counter("sched.chunks_stolen", obs::Tag::kScheduling);
     v.sched_open_files = r.gauge("sched.open_files", obs::Tag::kScheduling);
+    v.generate_ns = r.histogram("sched.generate_ns", obs::Tag::kTiming);
     v.packetize_ns = r.histogram("sched.packetize_ns", obs::Tag::kTiming);
     v.chunk_ns = r.histogram("sched.chunk_ns", obs::Tag::kTiming);
     return v;
@@ -1001,6 +1002,17 @@ std::vector<SimPacket> prepare_file(const SpliceRunConfig& cfg,
   return packetize_file(cfg.flow, file);
 }
 
+/// Evaluate the adjacent pairs [first, last) of `pkts` as one timed
+/// chunk — a claimed chunk in the work-stealing path, a whole file in
+/// the sequential one.
+void evaluate_chunk(const SpliceRunConfig& cfg,
+                    const std::vector<SimPacket>& pkts, std::size_t first,
+                    std::size_t last, SpliceStats& st) {
+  obs::ScopedTimer timer(smx().chunk_ns);
+  for (std::size_t j = first; j < last; ++j)
+    evaluate_pair(cfg.flow.packet, pkts[j], pkts[j + 1], st);
+}
+
 }  // namespace
 
 void register_splice_metrics() { (void)smx(); }
@@ -1047,8 +1059,7 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
       st.packets += pkts.size();
       mx.files.add(1);
       mx.packets.add(pkts.size());
-      for (std::size_t j = 0; j + 1 < pkts.size(); ++j)
-        evaluate_pair(cfg.flow.packet, pkts[j], pkts[j + 1], st);
+      evaluate_chunk(cfg, pkts, 0, pkts.empty() ? 0 : pkts.size() - 1, st);
     }
     return st;
   }
@@ -1090,15 +1101,13 @@ SpliceStats run_range_impl(const SpliceRunConfig& cfg, Loader&& load,
         }
       }
       if (fw != nullptr) {
-        const std::size_t begin = fw->next_pair.fetch_add(kPairChunk);
-        const std::size_t end =
-            std::min(begin + kPairChunk, fw->pair_count);
-        if (begin < end) {
+        const std::size_t first = fw->next_pair.fetch_add(kPairChunk);
+        const std::size_t last =
+            std::min(first + kPairChunk, fw->pair_count);
+        if (first < last) {
           mx.sched_chunks.add(1);
           if (fw->owner != t) mx.sched_steals.add(1);
-          obs::ScopedTimer timer(mx.chunk_ns);
-          for (std::size_t j = begin; j < end; ++j)
-            evaluate_pair(cfg.flow.packet, fw->pkts[j], fw->pkts[j + 1], st);
+          evaluate_chunk(cfg, fw->pkts, first, last, st);
         }
         continue;
       }
@@ -1165,7 +1174,10 @@ SpliceStats run_filesystem_range(const SpliceRunConfig& cfg,
   return run_range_impl(
       cfg,
       [&](std::size_t i) {
-        const util::Bytes file = fs.file(i);
+        const util::Bytes file = [&] {
+          obs::ScopedTimer timer(smx().generate_ns);
+          return fs.file(i);
+        }();
         return prepare_file(cfg, util::ByteView(file));
       },
       begin, end);

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "util/bytes.hpp"
@@ -66,6 +67,9 @@ util::Bytes generate_file(FileKind kind, std::uint64_t seed,
 /// Individual generators (exposed for targeted tests and the
 /// pathology bench).
 util::Bytes generate_text(util::Rng& rng, std::size_t approx_size);
+/// The weight of each word in generate_text's vocabulary, in vocabulary
+/// order (roughly Zipf); one weighted pick per emitted word.
+std::span<const double> text_word_weights();
 util::Bytes generate_c_source(util::Rng& rng, std::size_t approx_size);
 util::Bytes generate_executable(util::Rng& rng, std::size_t approx_size);
 util::Bytes generate_gmon_profile(util::Rng& rng, std::size_t approx_size);

@@ -141,17 +141,18 @@ constexpr WeightedWord kWords[] = {
     {"language", 0.2}, {"among", 0.2},
 };
 
-std::vector<double> word_weights() {
-  std::vector<double> w;
-  w.reserve(std::size(kWords));
-  for (const auto& entry : kWords) w.push_back(entry.weight);
+constexpr auto kWordWeights = [] {
+  std::array<double, std::size(kWords)> w{};
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = kWords[i].weight;
   return w;
-}
+}();
 
 }  // namespace
 
+std::span<const double> text_word_weights() { return kWordWeights; }
+
 util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
-  static const std::vector<double> weights = word_weights();
+  static const util::WeightedIndex pick_word(text_word_weights());
 
   util::Bytes out;
   out.reserve(approx_size + 128);
@@ -183,7 +184,7 @@ util::Bytes generate_text(util::Rng& rng, std::size_t approx_size) {
       } else {
         const std::size_t words = static_cast<std::size_t>(rng.between(4, 14));
         for (std::size_t w = 0; w < words; ++w) {
-          const auto& entry = kWords[rng.pick_weighted(weights)];
+          const auto& entry = kWords[pick_word.pick(rng)];
           std::string word(entry.word);
           if (w == 0) word[0] = static_cast<char>(word[0] - 'a' + 'A');
           if (!sentence.empty()) sentence += ' ';

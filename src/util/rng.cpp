@@ -1,7 +1,9 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 namespace cksum::util {
 
@@ -91,6 +93,111 @@ std::size_t Rng::pick_weighted(std::span<const double> weights) noexcept {
     if (x < 0.0) return i;
   }
   return weights.size() - 1;
+}
+
+namespace {
+
+// Doubles (NaN excluded) mapped to integers in the same order, so a
+// search can step to the adjacent double. -0.0 and +0.0 get adjacent
+// keys; every predicate below treats them alike.
+constexpr std::uint64_t order_key(double d) noexcept {
+  const auto b = std::bit_cast<std::uint64_t>(d);
+  return (b >> 63) != 0 ? ~b : b | (1ULL << 63);
+}
+
+constexpr double from_order_key(std::uint64_t k) noexcept {
+  return std::bit_cast<double>((k >> 63) != 0 ? k & ~(1ULL << 63) : ~k);
+}
+
+constexpr std::uint64_t kMinKey =
+    order_key(-std::numeric_limits<double>::infinity());
+constexpr std::uint64_t kMaxKey =
+    order_key(std::numeric_limits<double>::infinity());
+
+// Smallest y with fl(y - w) >= c. The rounded difference is
+// non-decreasing in y and reaches +inf, so the set is [y*, +inf].
+// y* is almost always the guess c + w, which two subtractions confirm.
+// Otherwise gallop out from the guess and bisect the bracket:
+// absorption (|w| far above c) can put y* many doubles away.
+double min_preimage(double w, double c) noexcept {
+  const auto ok = [&](std::uint64_t k) { return from_order_key(k) - w >= c; };
+  std::uint64_t hi = order_key(c + w);
+  if (hi != kMinKey && ok(hi) && !ok(hi - 1)) return from_order_key(hi);
+  std::uint64_t lo = hi;  // !ok(lo), once the gallop stops
+  std::uint64_t step = 1;
+  if (ok(hi)) {
+    for (;;) {
+      if (hi == kMinKey) return from_order_key(hi);
+      lo = hi - kMinKey <= step ? kMinKey : hi - step;
+      if (!ok(lo)) break;
+      hi = lo;
+      step *= 2;
+    }
+  } else {
+    for (;; step *= 2) {
+      hi = kMaxKey - lo <= step ? kMaxKey : lo + step;
+      if (ok(hi)) break;
+      lo = hi;
+    }
+  }
+  while (hi - lo > 1) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    (ok(mid) ? hi : lo) = mid;
+  }
+  return from_order_key(hi);
+}
+
+}  // namespace
+
+WeightedIndex::WeightedIndex(std::span<const double> weights) {
+  for (double w : weights) total_ += w;
+  last_ = weights.empty() ? 0 : weights.size() - 1;
+  // No table when pick() draws nothing (total <= 0), has one index to
+  // return, or meets a chain that never goes negative: a NaN or
+  // infinite total makes x0 NaN or infinite, and pick_weighted then
+  // falls through to the last index.
+  if (!(total_ > 0.0) || !std::isfinite(total_) || last_ == 0) return;
+
+  // The chain gets past index i iff every partial x_j (j <= i) is
+  // >= 0. Each of those conditions holds on an up-set [a_j, +inf] of
+  // x0, found by inverting the chain from x_j >= 0 back to x0; the
+  // threshold is the running maximum of the a_j.
+  thresholds_.resize(weights.size() - 1);
+  double running = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < thresholds_.size(); ++i) {
+    double c = 0.0;
+    for (std::size_t j = i + 1; j-- > 0;) c = min_preimage(weights[j], c);
+    running = std::max(running, c);
+    thresholds_[i] = running;
+  }
+
+  constexpr std::size_t kBuckets = 2048;
+  guide_.resize(kBuckets);
+  bucket_scale_ = static_cast<double>(kBuckets) / total_;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const double edge = static_cast<double>(b) / bucket_scale_;
+    const auto below = static_cast<std::size_t>(
+        std::upper_bound(thresholds_.begin(), thresholds_.end(), edge) -
+        thresholds_.begin());
+    // Past 65,535 indices the entry saturates; the walk stays exact.
+    guide_[b] = static_cast<std::uint16_t>(std::min<std::size_t>(below, 0xFFFF));
+  }
+}
+
+std::size_t WeightedIndex::pick(Rng& rng) const noexcept {
+  if (total_ <= 0.0) return 0;
+  return index_at(rng.uniform01() * total_);
+}
+
+std::size_t WeightedIndex::index_at(double x0) const noexcept {
+  if (thresholds_.empty()) return last_;
+  const std::size_t bucket = std::min(
+      static_cast<std::size_t>(x0 * bucket_scale_), guide_.size() - 1);
+  std::size_t k = guide_[bucket];
+  const std::size_t n = thresholds_.size();
+  while (k < n && thresholds_[k] <= x0) ++k;
+  while (k > 0 && thresholds_[k - 1] > x0) --k;
+  return k;
 }
 
 Rng Rng::child(std::uint64_t stream_id) const noexcept {

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace cksum::util {
 
@@ -61,7 +62,9 @@ class Rng {
   std::size_t run_length(double p_continue, std::size_t cap) noexcept;
 
   /// Pick an index from a discrete weight table (weights need not sum
-  /// to anything in particular; all-zero weights pick index 0).
+  /// to anything in particular; all-zero weights pick index 0). Linear
+  /// in the table size; WeightedIndex returns the same index from a
+  /// prebuilt table in near-constant time.
   std::size_t pick_weighted(std::span<const double> weights) noexcept;
 
   /// UniformRandomBitGenerator interface (for std::shuffle etc.).
@@ -77,6 +80,39 @@ class Rng {
  private:
   std::array<std::uint64_t, 4> s_{};
   std::uint64_t seed_;
+};
+
+/// A fixed weight table prepared for repeated picks. pick(rng) returns
+/// exactly what rng.pick_weighted(weights) would, and consumes the same
+/// random draw, so swapping one for the other changes no generated
+/// byte.
+///
+/// pick_weighted draws x0 = uniform01() * total and returns the first
+/// i at which the rounded chain x0 - w[0] - ... - w[i] goes negative
+/// (or the last index). Each rounded subtraction is monotone, so that
+/// index is a non-decreasing step function of x0. The constructor
+/// finds its exact steps: thresholds_[i] is the smallest double x0
+/// whose chain gets past index i. A pick counts the thresholds <= x0,
+/// starting from a guide entry for x0's equal-width bucket of
+/// [0, total) and correcting in either direction, so any guide entry
+/// gives the exact index and a good one gives it in a step or two.
+class WeightedIndex {
+ public:
+  explicit WeightedIndex(std::span<const double> weights);
+
+  std::size_t pick(Rng& rng) const noexcept;
+
+  /// The index pick_weighted's chain reaches from a given x0 in
+  /// [0, total]; pick(rng) is index_at(rng.uniform01() * total) when
+  /// total > 0.
+  std::size_t index_at(double x0) const noexcept;
+
+ private:
+  double total_ = 0.0;         ///< left-to-right sum, as pick_weighted forms it
+  double bucket_scale_ = 0.0;  ///< guide_.size() / total_
+  std::size_t last_ = 0;       ///< the fall-through index
+  std::vector<double> thresholds_;     ///< one per index but the last
+  std::vector<std::uint16_t> guide_;  ///< per bucket: thresholds <= its low edge
 };
 
 }  // namespace cksum::util

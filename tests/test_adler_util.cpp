@@ -1,11 +1,17 @@
 // Adler-32 and the util substrate (RNG, hashing, byte helpers, math).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <set>
+#include <vector>
 
 #include "checksum/adler32.hpp"
+#include "fsgen/generator.hpp"
 #include "util/bytes.hpp"
 #include "util/hash.hpp"
 #include "util/math.hpp"
@@ -125,6 +131,122 @@ TEST(Rng, PickWeightedHonoursWeights) {
   util::Rng rng(9);
   const std::vector<double> w = {0.0, 1.0, 0.0};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.pick_weighted(w), 1u);
+}
+
+// WeightedIndex must return pick_weighted's index from the same draw,
+// or every generated text file would change.
+void expect_same_picks(std::span<const double> w, std::size_t draws,
+                       std::uint64_t seed) {
+  util::Rng ref(seed);
+  util::Rng rng(seed);
+  const util::WeightedIndex index(w);
+  for (std::size_t d = 0; d < draws; ++d) {
+    const std::size_t want = ref.pick_weighted(w);
+    const std::size_t got = index.pick(rng);
+    if (got != want) {
+      ADD_FAILURE() << "draw " << d << ": pick " << got << ", pick_weighted "
+                    << want;
+      return;
+    }
+  }
+  EXPECT_EQ(rng.next(), ref.next()) << "the two consumed different draws";
+}
+
+// pick_weighted's chain from a given x0.
+std::size_t chain_index(std::span<const double> w, double x) {
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    x -= w[i];
+    if (x < 0.0) return i;
+  }
+  return w.size() - 1;
+}
+
+// Random draws almost never land on a step of the index function, so
+// find every step in [0, total] by plain bisection on the chain and
+// check WeightedIndex on both sides of it.
+void expect_exact_steps(std::span<const double> w) {
+  double total = 0.0;
+  for (double x : w) total += x;
+  ASSERT_GT(total, 0.0);
+  const util::WeightedIndex index(w);
+  const auto at = [](std::uint64_t bits) { return std::bit_cast<double>(bits); };
+  const std::uint64_t top = std::bit_cast<std::uint64_t>(total);
+  EXPECT_EQ(index.index_at(0.0), chain_index(w, 0.0));
+  EXPECT_EQ(index.index_at(total), chain_index(w, total));
+  for (std::size_t i = 0; i + 1 < w.size(); ++i) {
+    if (chain_index(w, 0.0) > i || chain_index(w, total) <= i) continue;
+    std::uint64_t lo = 0;  // chain_index(at(lo)) <= i < chain_index(at(hi))
+    std::uint64_t hi = top;
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (chain_index(w, at(mid)) > i ? hi : lo) = mid;
+    }
+    for (const std::uint64_t b : {lo, hi})
+      ASSERT_EQ(index.index_at(at(b)), chain_index(w, at(b)))
+          << "step past index " << i << " at x0 = " << at(hi);
+  }
+}
+
+TEST(Rng, WeightedIndexMatchesPickWeightedOnTextWords) {
+  const std::span<const double> words = fsgen::text_word_weights();
+  ASSERT_GT(words.size(), 400u);
+  expect_same_picks(words, 1'000'000, 11);
+  expect_exact_steps(words);
+}
+
+TEST(Rng, WeightedIndexMatchesPickWeightedOnEdgeVectors) {
+  // Zeros at both ends and in the middle; decimal weights whose sums
+  // round; weights far below the rounding unit of the running total,
+  // which the chain absorbs.
+  const std::vector<std::vector<double>> vectors = {
+      {0.0, 0.0, 1.0, 0.0, 2.5, 0.0, 0.0},
+      {3.5},
+      {0.1, 0.2, 0.3, 0.7, 0.0, 1.1, 0.1},
+      {1.0, 0x1p-60, 0x1p-60, 0x1p-55, 1e-300, 2.0, 0x1p-70},
+      {0x1p-60, 0x1p-60, 1.0, 0x1p-60},
+  };
+  for (const auto& w : vectors) {
+    SCOPED_TRACE(::testing::Message() << "vector of " << w.size());
+    expect_same_picks(w, 20'000, 12);
+    expect_exact_steps(w);
+  }
+}
+
+TEST(Rng, WeightedIndexFollowsChainFallThrough) {
+  // x0 + 2^53 rounds up to 2^53 + 2 for x0 > 1, after which the chain
+  // never goes negative and falls through to the last (zero-weight)
+  // index; a third of all draws do.
+  const std::vector<double> w = {-0x1p53, 0x1p53, 1.5, 0.0};
+  util::Rng rng(13);
+  std::size_t fell_through = 0;
+  for (int d = 0; d < 3000; ++d) fell_through += rng.pick_weighted(w) == 3;
+  EXPECT_GT(fell_through, 500u);
+  expect_same_picks(w, 20'000, 13);
+  expect_exact_steps(w);
+}
+
+TEST(Rng, WeightedIndexWithoutPositiveTotalDrawsNothing) {
+  const std::vector<std::vector<double>> vectors = {
+      {}, {0.0}, {0.0, 0.0, 0.0}, {1.0, -2.0}};
+  for (const auto& w : vectors) {
+    util::Rng rng(14);
+    util::Rng ref(14);
+    const util::WeightedIndex index(w);
+    EXPECT_EQ(index.pick(rng), 0u);
+    EXPECT_EQ(ref.pick_weighted(w), 0u);
+    EXPECT_EQ(rng.next(), util::Rng(14).next()) << "pick consumed a draw";
+    EXPECT_EQ(ref.next(), util::Rng(14).next());
+  }
+}
+
+TEST(Rng, WeightedIndexMatchesPickWeightedOnNonFiniteWeights) {
+  // A NaN or +inf total falls through to the last index after one
+  // draw; a -inf total returns 0 without one.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> vectors = {
+      {1.0, inf, 2.0}, {1.0, std::nan(""), 2.0}, {1e308, 1e308, -1e308},
+      {inf, -inf}, {-inf, 1.0}};
+  for (const auto& w : vectors) expect_same_picks(w, 1000, 15);
 }
 
 TEST(Rng, ChildStreamsIndependentOfConsumption) {

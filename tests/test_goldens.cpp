@@ -50,6 +50,24 @@ TEST(Goldens, GeneratorContentPinned) {
   }
 }
 
+TEST(Goldens, GeneratorSweepPinned) {
+  // Every kind at 28 seeds and sizes from 1 B to 64 KiB (10.3 MB in
+  // all): one 4 KiB file per kind misses drift that shows only in long
+  // files, rare branches or other seeds.
+  std::uint64_t h = 0;
+  for (const FileKind kind : kAllKinds) {
+    for (std::uint64_t seed = 1; seed <= 28; ++seed) {
+      const std::size_t size =
+          1 + (seed * 40503 + static_cast<std::size_t>(kind) * 9973) % 65536;
+      const util::Bytes f = generate_file(kind, seed, size);
+      h = util::combine_hash(h, util::hash64(util::ByteView(f)));
+    }
+  }
+  EXPECT_EQ(h, 0xd02bd25697ff7648ULL)
+      << "generator output changed — if intentional, update the golden "
+         "and re-run the benches (EXPERIMENTS.md numbers moved)";
+}
+
 TEST(Goldens, ProfileCompositionPinned) {
   // The file-kind sequence of a profile at scale 1 (first 10 files).
   const Filesystem fs(profile("sics.se:/opt"), 1.0);

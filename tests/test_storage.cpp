@@ -207,7 +207,9 @@ TEST(StorageFrontier, OracleProperty) {
           const bool ok = verify_block(
               alg, WriteContext{r.address, r.generation}, ByteView(r.actual));
           EXPECT_EQ(ok, r.check_passed);
-          if (correct) EXPECT_TRUE(ok);  // sealed blocks always verify
+          if (correct) {
+            EXPECT_TRUE(ok);  // sealed blocks always verify
+          }
           if (!correct) (ok ? any_undetected : any_detected) = true;
         }
         const Outcome expect = any_undetected ? Outcome::kUndetected
